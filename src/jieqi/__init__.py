@@ -61,8 +61,6 @@ from .infoset import (
     infoset_size,
     infoset_size_bruteforce,
     mover_infoset_size,
-    state_hidden_pools,
-    state_infoset_size,
 )
 from .jfen import INITIAL_JFEN, JfenError, decode_state, encode_state
 from .simulator import (
@@ -135,8 +133,6 @@ __all__ = [
     "run_simulation",
     "square",
     "square_name",
-    "state_hidden_pools",
-    "state_infoset_size",
     "terminal_status",
     "unassigned_pool",
 ]

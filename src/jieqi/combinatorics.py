@@ -49,7 +49,7 @@ class KindMultiset:
     counts: tuple[int, int, int, int, int, int] = (0, 0, 0, 0, 0, 0)
 
     def __post_init__(self) -> None:
-        if len(self.counts) != len(NON_KING_KINDS) or any(c < 0 for c in self.counts):
+        if len(self.counts) != len(NON_KING_KINDS) or min(self.counts) < 0:
             raise ValueError(f"bad kind counts {self.counts!r}")
 
     @classmethod
@@ -77,7 +77,7 @@ class KindMultiset:
 
     def __sub__(self, other: KindMultiset) -> KindMultiset:
         out = tuple(a - b for a, b in zip(self.counts, other.counts))
-        if any(c < 0 for c in out):
+        if min(out) < 0:
             raise ValueError(f"multiset subtraction went negative: {self} - {other}")
         return KindMultiset(out)
 

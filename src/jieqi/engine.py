@@ -45,6 +45,7 @@ from .board import (
     HORSE_MOVES,
     KING_STEPS,
     MINISTER_JUMPS,
+    NON_KING_KINDS,
     NUM_SQUARES,
     PAWN_STEPS,
     RAYS,
@@ -451,7 +452,6 @@ def apply_move(
     """
     if state.status.over:
         raise IllegalMoveError("game is over")
-    assert state.ply_count < 1500, "runaway game"
     if not (0 <= move.from_sq < NUM_SQUARES and 0 <= move.to_sq < NUM_SQUARES):
         raise IllegalMoveError(f"square off board in {move}")
     from_cell = state.board[move.from_sq]
@@ -593,13 +593,15 @@ def terminal_status(state: GameState) -> TerminalStatus:
 # ---------------------------------------------------------------------------
 
 def _capture_buckets(entries: tuple[Capture, ...]) -> tuple[KindMultiset, KindMultiset, int]:
-    """Split a capture list into (revealed kinds, dark kinds, dark count)."""
-    revealed = KindMultiset.from_kinds(
-        k for k, dark in entries if not dark and k is not PieceKind.KING
-    )
-    dark = KindMultiset.from_kinds(k for k, d in entries if d)
-    dark_count = sum(1 for _, d in entries if d)
-    return revealed, dark, dark_count
+    """Split a capture list into (revealed kinds, dark kinds, dark count).
+    Kings are never face-down, so a captured King is skipped as revealed."""
+    revealed = [0] * len(NON_KING_KINDS)
+    dark = [0] * len(NON_KING_KINDS)
+    for kind, was_dark in entries:
+        if kind is not PieceKind.KING:
+            # NON_KING_KINDS lists PieceKind 1..6 in order
+            (dark if was_dark else revealed)[kind - 1] += 1
+    return KindMultiset(tuple(revealed)), KindMultiset(tuple(dark)), sum(dark)
 
 
 def observe(state: GameState, viewer: Side) -> Observation:

@@ -13,20 +13,22 @@ for the opponent's pool only -- the face-down pieces the viewer captured
 and saw).  The viewer's own face-down pieces captured by the opponent stay
 in the viewer's pool: their identities are unknown to the viewer, so they
 constrain the on-board assignment without being ordered themselves.
+
+The per-ply self-play measurement is infoset_size(observe(state, mover)):
+there is one definition, on the observation, and no state-level shortcut.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from .board import DARK_CODE, PieceKind
-from .combinatorics import (
-    START_POOL,
-    KindMultiset,
-    exact_log10,
-    multiset_arrangements,
-)
-from .engine import GameState, Observation, Side
+from .board import DARK_CODE, NON_KING_KINDS, START_COUNTS, Side
+from .combinatorics import KindMultiset, exact_log10, multiset_arrangements
+from .engine import GameState, Observation, observe
+
+#: Cell magnitudes of the non-king kinds, in NON_KING_KINDS order.
+_KIND_CODES = tuple(kind + 1 for kind in NON_KING_KINDS)
 
 
 @dataclass(frozen=True)
@@ -39,36 +41,34 @@ class HiddenPools:
     opp_slots: int
 
 
-def _board_summary(view: tuple[int, ...], side: Side) -> tuple[KindMultiset, int]:
-    """(revealed non-king kinds on board, face-down count) for one side."""
-    red = side is Side.RED
-    counts = [0] * 6
-    dark = 0
-    for cell in view:
-        if cell == 0 or (cell > 0) is not red:
-            continue
-        mag = cell if red else -cell
-        if mag == DARK_CODE:
-            dark += 1
-        elif mag != 1:  # skip kings; NON_KING_KINDS follows PieceKind order
-            counts[mag - 2] += 1
-    return KindMultiset(tuple(counts)), dark
-
-
 def hidden_pools(obs: Observation) -> HiddenPools:
     """Derive the unknown pools from an observation.
 
-    Raises ValueError on an observation whose capture/reveal counts exceed
-    the initial material (corrupt input).
+    Each pool is the initial count vector minus that side's revealed
+    pieces on the board minus the identities the viewer learned from
+    captures.  Raises ValueError on an observation whose capture/reveal
+    counts exceed the initial material (corrupt input).
     """
-    own_revealed, own_slots = _board_summary(obs.view, obs.viewer)
-    opp_revealed, opp_slots = _board_summary(obs.view, obs.viewer.opponent)
-    try:
-        own_pool = START_POOL - own_revealed - obs.own_revealed_captured_by_opp
-        opp_pool = (
-            START_POOL - opp_revealed - obs.opp_revealed_captured
-            - obs.opp_dark_captured_by_viewer
+    cells = Counter(obs.view)
+    sign = 1 if obs.viewer is Side.RED else -1
+    own_slots = cells[sign * DARK_CODE]
+    opp_slots = cells[-sign * DARK_CODE]
+    own_counts = tuple(
+        start - cells[sign * code] - lost
+        for start, code, lost in zip(
+            START_COUNTS, _KIND_CODES, obs.own_revealed_captured_by_opp.counts
         )
+    )
+    opp_counts = tuple(
+        start - cells[-sign * code] - taken - seen
+        for start, code, taken, seen in zip(
+            START_COUNTS, _KIND_CODES, obs.opp_revealed_captured.counts,
+            obs.opp_dark_captured_by_viewer.counts,
+        )
+    )
+    try:
+        own_pool = KindMultiset(own_counts)
+        opp_pool = KindMultiset(opp_counts)
     except ValueError as exc:
         raise ValueError(f"corrupt observation: {exc}") from None
     if own_pool.total() != own_slots + obs.own_dark_lost_count:
@@ -87,12 +87,14 @@ def hidden_pools(obs: Observation) -> HiddenPools:
 def infoset_size(obs: Observation) -> int:
     """Exact number of hidden-identity assignments consistent with `obs`."""
     pools = hidden_pools(obs)
-    return _pools_size(pools)
-
-
-def _pools_size(pools: HiddenPools) -> int:
     return multiset_arrangements(pools.own_pool, pools.own_slots) * \
         multiset_arrangements(pools.opp_pool, pools.opp_slots)
+
+
+def mover_infoset_size(state: GameState) -> int:
+    """Information-set size from the viewpoint of the player to move (the
+    per-ply measurement convention)."""
+    return infoset_size(observe(state, state.side_to_move))
 
 
 def infoset_log10(obs: Observation) -> float:
@@ -134,36 +136,3 @@ def _enumerate_assignments(pool: KindMultiset, slots: int) -> int:
         return total
 
     return walk(0)
-
-
-# --- direct-from-state fast path ---------------------------------------------
-
-def state_hidden_pools(state: GameState, viewer: Side) -> HiddenPools:
-    """hidden_pools(observe(state, viewer)) without building the Observation
-    (the simulator calls this once per ply)."""
-    own_revealed, own_slots = _board_summary(state.board, viewer)
-    opp_revealed, opp_slots = _board_summary(state.board, viewer.opponent)
-    own_pool = START_POOL - own_revealed
-    opp_pool = START_POOL - opp_revealed
-    own_dark_lost = 0
-    for kind, was_dark in state.captures_by(viewer.opponent):
-        if was_dark:
-            own_dark_lost += 1
-        elif kind is not PieceKind.KING:
-            own_pool = own_pool.remove(kind)
-    for kind, was_dark in state.captures_by(viewer):
-        if was_dark or kind is not PieceKind.KING:
-            opp_pool = opp_pool.remove(kind)
-    assert own_pool.total() == own_slots + own_dark_lost
-    assert opp_pool.total() == opp_slots
-    return HiddenPools(own_pool, own_slots, opp_pool, opp_slots)
-
-
-def state_infoset_size(state: GameState, viewer: Side) -> int:
-    return _pools_size(state_hidden_pools(state, viewer))
-
-
-def mover_infoset_size(state: GameState) -> int:
-    """Information-set size from the viewpoint of the player to move (the
-    per-ply measurement convention)."""
-    return state_infoset_size(state, state.side_to_move)

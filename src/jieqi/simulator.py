@@ -128,7 +128,6 @@ def play_random_game(
         log10s.append(exact_log10(size))
         infoset_total += size
         state, _ = apply_move(state, moves[move_rng.randrange(len(moves))])
-    assert state.ply_count < 1500, "termination bound exceeded"
     return GameRecord(
         game_index=game_index,
         seed=seed,

@@ -158,6 +158,18 @@ class TestPerft:
         assert code == 0
         assert out.splitlines() == ["depth 1: 0"]
 
+    def test_ply_count_is_not_a_bound(self, capsys) -> None:
+        # the ply counter is bookkeeping; the draw rule bounds a game
+        fields = encode_state(initial_state(0)).split(" ")
+        counts = []
+        for ply_count in ("0", "1500"):
+            fields[3] = ply_count
+            code, out, _ = run(capsys, "perft", "--state", " ".join(fields),
+                               "--depth", "2")
+            assert code == 0
+            counts.append(out.splitlines())
+        assert counts[0] == counts[1] == ["depth 1: 46", "depth 2: 2106"]
+
     def test_depth_bound(self, capsys) -> None:
         code, _, _ = run(capsys, "perft", "--state", SEED42_JFEN, "--depth", "5")
         assert code == 1

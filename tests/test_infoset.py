@@ -25,10 +25,8 @@ from jieqi import (
     mover_infoset_size,
     multiset_arrangements,
     observe,
-    state_hidden_pools,
-    state_infoset_size,
 )
-from jieqi.board import DARK_CODE, NUM_SQUARES
+from jieqi.board import DARK_CODE, NUM_SQUARES, make_dark_cell
 
 
 def _mirror(state):
@@ -232,22 +230,35 @@ class TestProperties:
                 break
             moves = legal_moves(state)
             state, outcome = apply_move(state, moves[rng.randrange(len(moves))])
-            size = state_infoset_size(state, state.side_to_move.opponent)
+            size = infoset_size(observe(state, state.side_to_move.opponent))
             # the mover's own information set never grows from its move
             assert size <= prev
             prev = mover_infoset_size(state) if not state.status.over else prev
 
-    def test_fast_path_equals_observation_path(self) -> None:
+    def test_pools_match_arbiter_truth(self) -> None:
+        # Independent of hidden_pools' derivation: read the true kinds of
+        # the face-down pieces straight from the arbiter's assignment.
         for seed in range(15):
             state = initial_state(seed)
             rng = random.Random(seed + 1000)
-            for _ in range(80):
+            while True:
+                for viewer in (Side.RED, Side.BLACK):
+                    own_dark = make_dark_cell(viewer)
+                    own_sq = [sq for sq, c in enumerate(state.board) if c == own_dark]
+                    opp_sq = [sq for sq, c in enumerate(state.board) if c == -own_dark]
+                    own_lost = [
+                        k for k, dark in state.captures_by(viewer.opponent) if dark
+                    ]
+                    pools = hidden_pools(observe(state, viewer))
+                    assert pools.own_pool == KindMultiset.from_kinds(
+                        [state.hidden[sq] for sq in own_sq] + own_lost
+                    )
+                    assert pools.opp_pool == KindMultiset.from_kinds(
+                        state.hidden[sq] for sq in opp_sq
+                    )
+                    assert pools.own_slots == len(own_sq)
+                    assert pools.opp_slots == len(opp_sq)
                 if state.status.over:
                     break
-                for viewer in (Side.RED, Side.BLACK):
-                    assert state_hidden_pools(state, viewer) == \
-                        hidden_pools(observe(state, viewer))
-                    assert state_infoset_size(state, viewer) == \
-                        infoset_size(observe(state, viewer))
                 moves = legal_moves(state)
                 state, _ = apply_move(state, moves[rng.randrange(len(moves))])

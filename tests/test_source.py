@@ -1,0 +1,21 @@
+"""Source-level guards over the package code."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import jieqi
+
+PACKAGE_DIR = Path(jieqi.__file__).parent
+
+
+def test_no_assert_statements() -> None:
+    # `python -O` strips assert statements, so an invariant the package
+    # relies on must be raised as an exception instead.
+    found = []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []
