@@ -48,9 +48,7 @@ from .engine import (
 )
 from .enumeration import (
     CountParams,
-    CountTables,
     STANDARD_PARAMS,
-    build_count_tables,
     count_information_sets,
     count_information_sets_bruteforce,
 )
@@ -80,7 +78,6 @@ __all__ = [
     "Capture",
     "CapturedInfo",
     "CountParams",
-    "CountTables",
     "GameRecord",
     "GameState",
     "HiddenPools",
@@ -106,7 +103,6 @@ __all__ = [
     "WinReason",
     "apply_move",
     "binomial",
-    "build_count_tables",
     "count_information_sets",
     "count_information_sets_bruteforce",
     "decode_state",

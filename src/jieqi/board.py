@@ -40,7 +40,7 @@ class Side(IntEnum):
 
     @property
     def opponent(self) -> Side:
-        return Side(1 - self.value)
+        return Side.BLACK if self is Side.RED else Side.RED
 
     @property
     def letter(self) -> str:

@@ -11,6 +11,12 @@ placement board, and face-down identities are never ordered among their
 squares (no one can observe that order).  Captured black pieces do not add
 a factor: whatever Red captured, Red saw.
 
+The sum factors by side: each side's weight depends only on how many of its
+pieces are on the board and how many of those are face-down, and the
+placement of the face-up pieces depends only on the two sides' totals.  So
+the count is one 2-D convolution of the per-side weights, then a weighted
+sum over (pieces on the board, face-down pieces).
+
 One reading question cannot be settled from the recurrence alone: when all
 of Red's on-board pieces are face-up, does the face-up/face-down split of
 Red's *captured* pieces still count?  The primary count says no (off-board
@@ -24,8 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
-
-from .combinatorics import binomial, falling_factorial
+from math import comb, perm
 
 
 @dataclass(frozen=True)
@@ -51,85 +56,38 @@ class CountParams:
 STANDARD_PARAMS = CountParams()
 
 
-@dataclass(frozen=True)
-class CountTables:
-    """Precomputed factor tables.
-
-    red[i][j][k]  ways to fix red's split: C(n,i) on-board identities,
-                  C(i,j) of them face-down, C(n-i,k) of the off-board ones
-                  face-down.
-    black[i][j]   ways to fix black's on-board identities and their
-                  face-down subset: C(n,i) * C(i,j).
-    bright[n][d]  injective placements of the n-d face-up pieces on the
-                  squares not used by the d face-down ones.
-    """
-
-    red: tuple
-    black: tuple
-    bright: tuple
-
-
-def build_count_tables(params: CountParams) -> CountTables:
-    n, s = params.pieces_per_side, params.board_squares
-    red = tuple(
-        tuple(
-            tuple(binomial(n, i) * binomial(i, j) * binomial(n - i, k)
-                  for k in range(n + 1))
-            for j in range(n + 1)
-        )
-        for i in range(n + 1)
-    )
-    black = tuple(
-        tuple(binomial(n, i) * binomial(i, j) for j in range(n + 1))
-        for i in range(n + 1)
-    )
-    bright = tuple(
-        tuple(
-            falling_factorial(s - d, a - d) if d <= a else 0
-            for d in range(2 * n + 1)
-        )
-        for a in range(2 * n + 1)
-    )
-    return CountTables(red, black, bright)
-
-
 def count_information_sets(
     params: CountParams = STANDARD_PARAMS,
     split_offboard_when_all_bright: bool = False,
 ) -> int:
     """Exact number of information sets.
 
-    The quadruple loop runs over red on-board count, black on-board count,
-    black on-board face-down count and red on-board face-down count; the
-    innermost sum (red off-board face-down split) is skipped when red has
-    no face-down piece on the board, unless
+    Each side's weight w[i][j] counts its choices with i pieces on the
+    board, j of them face-down on j of its d home squares:
+    C(n,i) * C(i,j) * C(d,j).  Red's weight also carries 2^(n-i) for the
+    face-up/face-down split of its off-board pieces, except in the j == 0
+    row, where that split is dropped unless
     `split_offboard_when_all_bright` selects the alternative reading.
+    Convolving the two weights gives conv[a][t] over a pieces on the board,
+    t of them face-down; the count is the sum of conv[a][t] * P(s-t, a-t),
+    the injective placements of the face-up pieces on the squares left.
     """
-    n, d = params.pieces_per_side, params.dark_squares_per_side
-    tables = build_count_tables(params)
-    red, black, bright = tables.red, tables.black, tables.bright
+    n, s, d = params.pieces_per_side, params.board_squares, params.dark_squares_per_side
+    black = [[comb(n, i) * comb(i, j) * comb(d, j) for j in range(min(i, d) + 1)]
+             for i in range(n + 1)]
+    red = [[w if j == 0 and not split_offboard_when_all_bright else w * 2 ** (n - i)
+            for j, w in enumerate(row)]
+           for i, row in enumerate(black)]
 
-    num = 0
-    for r_on in range(n + 1):
-        for b_on in range(n + 1):
-            a_on = r_on + b_on
-            for b_dk in range(min(b_on, d) + 1):
-                for r_odk in range(min(r_on, d) + 1):
-                    a_dk = r_odk + b_dk
-                    base = (
-                        black[b_on][b_dk]
-                        * bright[a_on][a_dk]
-                        * binomial(d, b_dk)
-                        * binomial(d, r_odk)
-                    )
-                    if r_odk == 0 and not split_offboard_when_all_bright:
-                        num += binomial(n, r_on) * base
-                    else:
-                        row = red[r_on][r_odk]
-                        num += base * sum(
-                            row[r_fdk] for r_fdk in range(n - r_on + 1)
-                        )
-    return num
+    conv = [[0] * (a + 1) for a in range(2 * n + 1)]
+    for r, red_row in enumerate(red):
+        for b, black_row in enumerate(black):
+            out = conv[r + b]
+            for i, x in enumerate(red_row):
+                for j, y in enumerate(black_row):
+                    out[i + j] += x * y
+    return sum(perm(s - t, a - t) * c
+               for a, row in enumerate(conv) for t, c in enumerate(row))
 
 
 def count_information_sets_bruteforce(

@@ -2,13 +2,24 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+
+import pytest
 
 from jieqi import encode_state, initial_state
 from jieqi.cli import run_cli
 from jieqi.jfen import INITIAL_JFEN
 
 SEED42_JFEN = encode_state(initial_state(42))
+
+# SHA-256 of `simulate --games 8 --seed 0`, the same digests as the
+# benchmark's correctness pins (perfbench/pins.json).
+GOLDEN_SHA256 = {
+    "games.csv": "ff66dbc891f8b62f1e713d18a875ba9e30899e3cb85839e0dc0c8d1fab0bb043",
+    "series.csv": "91f75ba62c0e44332fb875928742b08dce3c11956b7100bae247a29743439fa3",
+    "summary.json": "7c1777ce591e7d8329819acc38f1a8a57c3e19fcb250dcbd22c3595edb9fdc95",
+}
 
 
 def run(capsys, *args: str) -> tuple[int, str, str]:
@@ -214,3 +225,12 @@ class TestSimulate:
             assert code == 0
         for name in ("games.csv", "series.csv", "summary.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_golden_outputs(self, capsys, tmp_path, workers) -> None:
+        code, _, _ = run(capsys, "simulate", "--games", "8", "--seed", "0",
+                         "--workers", workers, "--out-dir", str(tmp_path))
+        assert code == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in GOLDEN_SHA256}
+        assert digests == GOLDEN_SHA256

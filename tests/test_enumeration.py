@@ -1,5 +1,6 @@
 """Counting the game's information sets: closed form vs exhaustive tuple
-enumeration on miniature boards, plus the full-scale result."""
+enumeration on miniature boards, vs a term-by-term reference sum up to
+the full scale, plus the full-scale result."""
 
 from __future__ import annotations
 
@@ -8,12 +9,11 @@ import pytest
 from jieqi import (
     CountParams,
     STANDARD_PARAMS,
-    build_count_tables,
     count_information_sets,
     count_information_sets_bruteforce,
     exact_log10,
-    falling_factorial,
 )
+from reference_count import reference_count
 
 # Full-scale result, frozen once from this implementation after the
 # miniature oracle equivalence below validated the closed form.
@@ -34,17 +34,6 @@ class TestCountParams:
             CountParams(4, 6, 2)   # board smaller than both sides' pieces
         with pytest.raises(ValueError):
             CountParams(-1, 6, 0)
-
-
-class TestCountTables:
-    def test_entries(self) -> None:
-        t = build_count_tables(CountParams(15, 88, 15))
-        assert t.red[15][3][0] == 455        # C(15,15)*C(15,3)*C(0,0)
-        assert t.red[4][2][3] == 1365 * 6 * 165   # C(15,4)*C(4,2)*C(11,3)
-        assert t.black[15][3] == 455
-        assert t.bright[30][0] == falling_factorial(88, 30)
-        assert t.bright[5][5] == 1
-        assert t.red[4][5][0] == 0           # more dark than on-board
 
 
 class TestClosedForm:
@@ -98,6 +87,22 @@ class TestBruteForceEquivalence:
             count_information_sets_bruteforce(CountParams(4, 10, 2))
         with pytest.raises(ValueError):
             count_information_sets_bruteforce(CountParams(3, 11, 3))
+
+
+class TestReferenceSum:
+    def test_grid_up_to_full_scale(self) -> None:
+        """Closed form == the term-by-term reference sum, under both
+        readings, for every n <= 15 with the smallest boards, the full
+        board and no, half or all home squares face-down-eligible.  The
+        grid includes the standard game, (15, 88, 15)."""
+        cases = {CountParams(n, s, d)
+                 for n in range(16)
+                 for s in (2 * n, 2 * n + 1, 88)
+                 for d in (0, n // 2, n)}
+        for params in cases:
+            for always in (False, True):
+                assert count_information_sets(params, always) == \
+                    reference_count(params, always), (params, always)
 
 
 class TestMonotonicity:

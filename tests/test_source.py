@@ -19,3 +19,8 @@ def test_no_assert_statements() -> None:
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_all_exports_resolve() -> None:
+    missing = [name for name in jieqi.__all__ if not hasattr(jieqi, name)]
+    assert missing == []
