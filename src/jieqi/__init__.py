@@ -19,7 +19,6 @@ from .combinatorics import (
     START_POOL,
     binomial,
     exact_log10,
-    falling_factorial,
     multiset_arrangements,
 )
 from .engine import (
@@ -38,13 +37,10 @@ from .engine import (
     WinReason,
     apply_move,
     initial_state,
-    initial_state_lazy,
     legal_moves,
     observe,
     perft,
     perft_counts,
-    terminal_status,
-    unassigned_pool,
 )
 from .enumeration import (
     CountParams,
@@ -55,7 +51,6 @@ from .enumeration import (
 from .infoset import (
     HiddenPools,
     hidden_pools,
-    infoset_log10,
     infoset_size,
     infoset_size_bruteforce,
     mover_infoset_size,
@@ -109,14 +104,11 @@ __all__ = [
     "encode_state",
     "estimate_gtc_log10",
     "exact_log10",
-    "falling_factorial",
     "game_seed",
     "hidden_pools",
-    "infoset_log10",
     "infoset_size",
     "infoset_size_bruteforce",
     "initial_state",
-    "initial_state_lazy",
     "legal_moves",
     "mover_infoset_size",
     "multiset_arrangements",
@@ -129,6 +121,4 @@ __all__ = [
     "run_simulation",
     "square",
     "square_name",
-    "terminal_status",
-    "unassigned_pool",
 ]

@@ -24,16 +24,6 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def falling_factorial(n: int, k: int) -> int:
-    """Exact n * (n-1) * ... * (n-k+1); the number of injective placements
-    of k labeled items into n slots."""
-    if n < 0 or k < 0:
-        raise ValueError(f"falling_factorial needs n, k >= 0, got n={n} k={k}")
-    if k > n:
-        raise ValueError(f"falling_factorial needs k <= n, got n={n} k={k}")
-    return math.perm(n, k)
-
-
 def exact_log10(n: int) -> float:
     """log10 of an exact positive integer (works beyond float range)."""
     if n <= 0:

@@ -24,8 +24,9 @@ Rule decisions baked into this engine:
   * A revealed Pawn's river status is judged from its current square.
 
 All state is immutable; `apply_move` returns a fresh state.  Randomness
-enters only through explicit seeds (`initial_state`) or an explicitly
-passed generator (lazy identity sampling, see `apply_move`).
+enters only through the explicit seed of `initial_state`, which fixes every
+hidden identity up front.  `game_status` is the one termination rule: both
+`apply_move` and the state-text decoder derive a state's status through it.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .board import (
     ROLE_OF_SQUARE,
     PieceKind,
     Side,
+    in_palace,
     make_cell,
     make_dark_cell,
     parse_square,
@@ -67,8 +69,9 @@ class IllegalMoveError(ValueError):
 
 
 class MissingHiddenInfoError(ValueError):
-    """Raised when a move needs a hidden identity the state does not carry
-    and no sampling generator was supplied."""
+    """Raised when a move reveals or captures a face-down piece whose
+    identity the state does not carry (a state decoded without its hidden
+    section)."""
 
 
 @dataclass(frozen=True)
@@ -180,9 +183,8 @@ class GameState:
     `board` holds only player-visible cell codes (see jieqi.board); the true
     kinds of face-down pieces live in `hidden`, keyed by square.  A dark
     square absent from `hidden` has an *undetermined* identity: such states
-    arise from lazy play (`initial_state_lazy`) or from decoding a state
-    text without its hidden section, and support observation-level
-    operations only.
+    arise only from decoding a state text without its hidden section, and
+    support observation-level operations only.
     """
 
     board: tuple[int, ...]
@@ -270,33 +272,6 @@ def initial_state(seed: int, rules: Rules = STANDARD_RULES) -> GameState:
     return GameState(
         board=tuple(board),
         hidden=hidden,
-        side_to_move=Side.RED,
-        ply_count=0,
-        plies_since_capture=0,
-        captured_by_red=(),
-        captured_by_black=(),
-        status=ONGOING,
-        rules=rules,
-        red_king=RED_KING_START,
-        black_king=BLACK_KING_START,
-    )
-
-
-def initial_state_lazy(rules: Rules = STANDARD_RULES) -> GameState:
-    """Starting position with *undetermined* hidden identities; each is
-    sampled from the remaining pool the first time a move needs it (pass a
-    generator to `apply_move`).  Produces the same reveal distribution as
-    eager assignment."""
-    board = [0] * NUM_SQUARES
-    board[RED_KING_START] = make_cell(Side.RED, PieceKind.KING)
-    board[BLACK_KING_START] = make_cell(Side.BLACK, PieceKind.KING)
-    for sq in RED_DARK_HOME:
-        board[sq] = make_dark_cell(Side.RED)
-    for sq in BLACK_DARK_HOME:
-        board[sq] = make_dark_cell(Side.BLACK)
-    return GameState(
-        board=tuple(board),
-        hidden={},
         side_to_move=Side.RED,
         ply_count=0,
         plies_since_capture=0,
@@ -434,21 +409,45 @@ def _gen_piece(
 # applying moves
 # ---------------------------------------------------------------------------
 
-def apply_move(
-    state: GameState,
-    move: Move,
-    rng: random.Random | None = None,
-) -> tuple[GameState, MoveOutcome]:
+def game_status(
+    board: tuple[int, ...],
+    side_to_move: Side,
+    plies_since_capture: int,
+    red_king: int,
+    black_king: int,
+    rules: Rules,
+) -> TerminalStatus:
+    """The termination rule, checked in order: King captured, no-capture
+    draw, side to move stalemated.
+
+    A King can reach the enemy palace only by the flying-general capture,
+    so a winner whose King stands in the loser's palace won by
+    meet-the-marshals; any other King capture is a plain one.
+    """
+    if red_king < 0 or black_king < 0:
+        if red_king < 0:
+            winner, winner_king = Side.BLACK, black_king
+        else:
+            winner, winner_king = Side.RED, red_king
+        if in_palace(winner_king, winner.opponent):
+            return TerminalStatus.win(winner, WinReason.MEET_MARSHALS)
+        return TerminalStatus.win(winner, WinReason.KING_CAPTURED)
+    if plies_since_capture >= rules.draw_plies:
+        return DRAW
+    if not _any_move(board, side_to_move, rules):
+        return TerminalStatus.win(side_to_move.opponent, WinReason.OPPONENT_STALEMATED)
+    return ONGOING
+
+
+def apply_move(state: GameState, move: Move) -> tuple[GameState, MoveOutcome]:
     """Play `move` and return (successor, outcome).
 
     A face-down mover is revealed; a captured piece goes to the mover's
-    capture list with the face it had.  Termination is checked in order:
-    king captured (as meet-the-marshals when taken by the flying general),
-    no-capture draw, opponent stalemated.
+    capture list with the face it had.  The successor's status comes from
+    `game_status`.
 
-    When the move needs an undetermined hidden identity (lazy states), it
-    is sampled uniformly from the owner's unassigned pool using `rng`;
-    without a generator such a move raises MissingHiddenInfoError.
+    A move that reveals or captures a face-down piece whose identity the
+    state does not carry raises MissingHiddenInfoError.
     """
     if state.status.over:
         raise IllegalMoveError("game is over")
@@ -476,7 +475,7 @@ def apply_move(
     if was_dark:
         revealed = hidden.pop(move.from_sq, None)
         if revealed is None:
-            revealed = _sample_identity(state, mover, rng)
+            raise _missing_identity(mover, move.from_sq)
         board[move.to_sq] = make_cell(mover, revealed)
     else:
         board[move.to_sq] = from_cell
@@ -489,7 +488,7 @@ def apply_move(
         if cap_dark:
             cap_kind = hidden.pop(move.to_sq, None)
             if cap_kind is None:
-                cap_kind = _sample_identity(state, victim, rng)
+                raise _missing_identity(victim, move.to_sq)
         else:
             cap_kind = PieceKind(abs(to_cell) - 1)
         captured = CapturedInfo(victim, cap_kind, cap_dark)
@@ -519,21 +518,8 @@ def apply_move(
 
     next_side = mover.opponent
     board_t = tuple(board)
-
-    if captured is not None and captured.kind is PieceKind.KING:
-        # Only a King ever reaches the enemy King (the flying-general
-        # capture): that ending is the meet-the-marshals loss for the
-        # player who exposed the file.
-        if abs(from_cell) == 1:
-            status = TerminalStatus.win(mover, WinReason.MEET_MARSHALS)
-        else:
-            status = TerminalStatus.win(mover, WinReason.KING_CAPTURED)
-    elif plies_since_capture >= state.rules.draw_plies:
-        status = DRAW
-    elif not _any_move(board_t, next_side, state.rules):
-        status = TerminalStatus.win(mover, WinReason.OPPONENT_STALEMATED)
-    else:
-        status = ONGOING
+    status = game_status(board_t, next_side, plies_since_capture,
+                         red_king, black_king, state.rules)
 
     new_state = GameState(
         board=board_t,
@@ -551,41 +537,11 @@ def apply_move(
     return new_state, MoveOutcome(revealed, captured, status)
 
 
-def unassigned_pool(state: GameState, side: Side) -> KindMultiset:
-    """Kinds of `side` whose location/identity the arbiter has not fixed:
-    the initial pool minus revealed pieces on the board, minus captured
-    pieces, minus face-down pieces with a determined identity."""
-    pool = START_POOL
-    red = side is Side.RED
-    for cell in state.board:
-        if cell != 0 and (cell > 0) is red and abs(cell) != DARK_CODE:
-            kind = PieceKind(abs(cell) - 1)
-            if kind is not PieceKind.KING:
-                pool = pool.remove(kind)
-    taken_by_opp = state.captures_by(side.opponent)
-    for kind, _ in taken_by_opp:
-        if kind is not PieceKind.KING:
-            pool = pool.remove(kind)
-    home = RED_DARK_HOME if red else BLACK_DARK_HOME
-    for sq in home:
-        kind = state.hidden.get(sq)
-        if kind is not None:
-            pool = pool.remove(kind)
-    return pool
-
-
-def _sample_identity(state: GameState, side: Side, rng: random.Random | None) -> PieceKind:
-    if rng is None:
-        raise MissingHiddenInfoError(
-            f"move needs the identity of an undetermined {side.name} piece; "
-            "pass rng= to sample it lazily"
-        )
-    pool = unassigned_pool(state, side).expand()
-    return pool[rng.randrange(len(pool))]
-
-
-def terminal_status(state: GameState) -> TerminalStatus:
-    return state.status
+def _missing_identity(side: Side, sq: int) -> MissingHiddenInfoError:
+    return MissingHiddenInfoError(
+        f"move needs the identity of the face-down {side.name} piece on "
+        f"{square_name(sq)}, which the state does not carry"
+    )
 
 
 # ---------------------------------------------------------------------------

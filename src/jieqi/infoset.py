@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .board import DARK_CODE, NON_KING_KINDS, START_COUNTS, Side
-from .combinatorics import KindMultiset, exact_log10, multiset_arrangements
+from .combinatorics import KindMultiset, multiset_arrangements
 from .engine import GameState, Observation, observe
 
 #: Cell magnitudes of the non-king kinds, in NON_KING_KINDS order.
@@ -95,10 +95,6 @@ def mover_infoset_size(state: GameState) -> int:
     """Information-set size from the viewpoint of the player to move (the
     per-ply measurement convention)."""
     return infoset_size(observe(state, state.side_to_move))
-
-
-def infoset_log10(obs: Observation) -> float:
-    return exact_log10(infoset_size(obs))
 
 
 # --- brute-force oracle ------------------------------------------------------

@@ -19,16 +19,19 @@ hidden    the true identities of all face-down pieces: comma-separated
           exactly once; or '-' when omitted.  A state decoded without its
           hidden section supports observation-level operations only.
 
-Terminal status is not encoded; it is re-derived on decode from the board
-and counters (missing king -- with a winner King in the enemy palace
-marking the flying-general ending -- draw counter, stalemate), which
-reproduces the status `apply_move` assigned.
+Terminal status is not encoded; decoding re-derives it from the board and
+counters with `engine.game_status`, the same rule `apply_move` applies, so
+a decoded state carries the status play assigned it.  Piece conservation is
+checked through `infoset.hidden_pools`, the one derivation of a side's
+unaccounted pool (starting material minus revealed minus captured pieces).
 
 Encoding is canonical and bit-exact: a given state always encodes to the
 same single-line string, and decode(encode(state)) round-trips exactly.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 from .board import (
     DARK_CODE,
@@ -39,21 +42,22 @@ from .board import (
     PieceKind,
     Side,
     in_palace,
+    make_cell,
+    make_dark_cell,
     parse_square,
     square_name,
 )
-from .combinatorics import START_POOL, KindMultiset
+from .combinatorics import KindMultiset
 from .engine import (
-    DRAW,
     ONGOING,
     Capture,
     GameState,
     Rules,
     STANDARD_RULES,
-    TerminalStatus,
-    WinReason,
-    _any_move,
+    game_status,
+    observe,
 )
+from .infoset import hidden_pools
 
 
 class JfenError(ValueError):
@@ -226,32 +230,23 @@ def _parse_hidden(field: str, board: list[int]) -> dict[int, PieceKind]:
     return hidden
 
 
-def _check_side_material(
-    board: list[int],
-    side: Side,
-    captured_by_opp: tuple[Capture, ...],
-    hidden: dict[int, PieceKind],
-    has_hidden: bool,
-) -> None:
-    """Piece conservation: board + capture list must rebuild the initial
-    16-piece multiset (and agree with the hidden section when present)."""
-    red = side is Side.RED
+def _check_material(state: GameState, side: Side, has_hidden: bool) -> None:
+    """Piece conservation for `side`: its face-down pieces stand on its
+    starting squares, its King is on the board or captured exactly once,
+    and its unaccounted pool fills its face-down squares (and equals the
+    hidden assignment when present)."""
+    king, dark = make_cell(side, PieceKind.KING), make_dark_cell(side)
     kings_on_board = 0
     dark_squares = []
-    revealed = KindMultiset()
-    for sq, cell in enumerate(board):
-        if cell == 0 or (cell > 0) is not red:
-            continue
-        if abs(cell) == DARK_CODE:
+    for sq, cell in enumerate(state.board):
+        if cell == dark:
             if sq not in DARK_HOME[side]:
                 raise JfenError(
                     f"board: face-down {side.name} piece on {square_name(sq)} is "
                     "outside its side's starting squares"
                 )
             dark_squares.append(sq)
-            continue
-        kind = PieceKind(abs(cell) - 1)
-        if kind is PieceKind.KING:
+        elif cell == king:
             kings_on_board += 1
             # A King sits in its own palace, or in the enemy palace right
             # after a flying-general capture.
@@ -259,61 +254,23 @@ def _check_side_material(
                 raise JfenError(
                     f"board: {side.name} King on {square_name(sq)} is outside both palaces"
                 )
-        else:
-            revealed = revealed.add(kind)
 
-    captured_kings = sum(1 for k, _ in captured_by_opp if k is PieceKind.KING)
+    captured_kings = sum(1 for k, _ in state.captures_by(side.opponent)
+                         if k is PieceKind.KING)
     if kings_on_board + captured_kings != 1:
         raise JfenError(f"board: {side.name} must have exactly one King on board or captured")
-    if kings_on_board > 1:
-        raise JfenError(f"board: more than one {side.name} King")
 
-    taken = KindMultiset.from_kinds(
-        k for k, _ in captured_by_opp if k is not PieceKind.KING
-    )
     try:
-        remainder = START_POOL - revealed - taken
-    except ValueError:
-        raise JfenError(f"board: too many revealed/captured {side.name} pieces of one kind") from None
-    if remainder.total() != len(dark_squares):
-        raise JfenError(
-            f"board: {side.name} has {len(dark_squares)} face-down pieces but the "
-            f"unaccounted pool holds {remainder.total()}"
-        )
+        pool = hidden_pools(observe(state, side.opponent)).opp_pool
+    except ValueError as exc:
+        raise JfenError(f"board: material as {side.opponent.name} sees it: {exc}") from None
     if has_hidden:
-        assigned = KindMultiset.from_kinds(hidden[sq] for sq in dark_squares)
-        if assigned != remainder:
+        assigned = KindMultiset.from_kinds(state.hidden[sq] for sq in dark_squares)
+        if assigned != pool:
             raise JfenError(
                 f"hidden: {side.name} assignment {assigned} does not match the "
-                f"unaccounted pool {remainder}"
+                f"unaccounted pool {pool}"
             )
-
-
-def _derive_status(
-    board: list[int],
-    side_to_move: Side,
-    plies_since_capture: int,
-    red_king: int,
-    black_king: int,
-    rules: Rules,
-) -> TerminalStatus:
-    # Mirrors the termination order of apply_move, so decoding the encoding
-    # of a played-out state reproduces its status.  A winner King standing
-    # in the loser's palace marks the flying-general (meet-the-marshals)
-    # ending; Kings can reach the enemy palace no other way.
-    for missing, winner, winner_king in (
-        (red_king, Side.BLACK, black_king),
-        (black_king, Side.RED, red_king),
-    ):
-        if missing < 0:
-            if in_palace(winner_king, winner.opponent):
-                return TerminalStatus.win(winner, WinReason.MEET_MARSHALS)
-            return TerminalStatus.win(winner, WinReason.KING_CAPTURED)
-    if plies_since_capture >= rules.draw_plies:
-        return DRAW
-    if not _any_move(tuple(board), side_to_move, rules):
-        return TerminalStatus.win(side_to_move.opponent, WinReason.OPPONENT_STALEMATED)
-    return ONGOING
 
 
 def decode_state(text: str, rules: Rules = STANDARD_RULES) -> GameState:
@@ -341,24 +298,10 @@ def decode_state(text: str, rules: Rules = STANDARD_RULES) -> GameState:
     captured_by_red = _parse_captures(capr_f, "captured-by-red", Side.BLACK)
     captured_by_black = _parse_captures(capb_f, "captured-by-black", Side.RED)
     hidden = _parse_hidden(hidden_f, board)
-    has_hidden = hidden_f != "-"
 
-    _check_side_material(board, Side.RED, captured_by_black, hidden, has_hidden)
-    _check_side_material(board, Side.BLACK, captured_by_red, hidden, has_hidden)
-
-    def find_king(side: Side) -> int:
-        target = 1 if side is Side.RED else -1
-        for sq, cell in enumerate(board):
-            if cell == target:
-                return sq
-        return -1
-
-    red_king = find_king(Side.RED)
-    black_king = find_king(Side.BLACK)
-    status = _derive_status(
-        board, side_to_move, plies_since_capture, red_king, black_king, rules
-    )
-    return GameState(
+    red_king = board.index(1) if 1 in board else -1
+    black_king = board.index(-1) if -1 in board else -1
+    state = GameState(
         board=tuple(board),
         hidden=hidden,
         side_to_move=side_to_move,
@@ -366,11 +309,16 @@ def decode_state(text: str, rules: Rules = STANDARD_RULES) -> GameState:
         plies_since_capture=plies_since_capture,
         captured_by_red=captured_by_red,
         captured_by_black=captured_by_black,
-        status=status,
+        status=ONGOING,
         rules=rules,
         red_king=red_king,
         black_king=black_king,
     )
+    for side in (Side.RED, Side.BLACK):
+        _check_material(state, side, hidden_f != "-")
+    return replace(state, status=game_status(
+        state.board, side_to_move, plies_since_capture, red_king, black_king, rules
+    ))
 
 
 #: The shuffled-start position with the hidden section omitted.

@@ -12,7 +12,6 @@ from jieqi import (
     START_POOL,
     binomial,
     exact_log10,
-    falling_factorial,
     multiset_arrangements,
 )
 from jieqi.board import NON_KING_KINDS, PieceKind
@@ -40,28 +39,6 @@ class TestBinomial:
         for n in range(1, 40):
             for k in range(n + 1):
                 assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
-
-
-class TestFallingFactorial:
-    def test_spec_values(self) -> None:
-        assert falling_factorial(88, 0) == 1
-        assert falling_factorial(5, 2) == 20
-
-    def test_large_value_digit_count(self) -> None:
-        value = falling_factorial(88, 30)
-        assert 55.5 <= exact_log10(value) <= 56.5
-
-    def test_matches_direct_product(self) -> None:
-        for n in range(12):
-            for k in range(n + 1):
-                product = 1
-                for i in range(k):
-                    product *= n - i
-                assert falling_factorial(n, k) == product
-
-    def test_k_above_n_rejected(self) -> None:
-        with pytest.raises(ValueError):
-            falling_factorial(3, 4)
 
 
 class TestExactLog10:
@@ -111,11 +88,11 @@ class TestMultisetArrangements:
         # {RP, PR, PP}
         assert multiset_arrangements(pool, 2) == 3
 
-    def test_all_distinct_equals_falling_factorial(self) -> None:
+    def test_all_distinct_equals_perm(self) -> None:
         for n in range(1, 7):
             pool = _pool(*([1] * n))
             for k in range(n + 1):
-                assert multiset_arrangements(pool, k) == falling_factorial(n, k)
+                assert multiset_arrangements(pool, k) == math.perm(n, k)
 
     def test_k_above_pool_rejected(self) -> None:
         with pytest.raises(ValueError):

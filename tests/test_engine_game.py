@@ -12,19 +12,15 @@ from conftest import build_state, mv, random_state
 from jieqi import (
     IllegalMoveError,
     KindMultiset,
-    MissingHiddenInfoError,
     PieceKind,
     Side,
     START_POOL,
     WinReason,
     apply_move,
     initial_state,
-    initial_state_lazy,
     legal_moves,
     observe,
     parse_square,
-    terminal_status,
-    unassigned_pool,
 )
 from jieqi.board import DARK_CODE, DARK_HOME, square_name
 
@@ -117,7 +113,7 @@ class TestApplyMove:
 
 class TestTermination:
     def test_initial_state_is_ongoing(self) -> None:
-        status = terminal_status(initial_state(0))
+        status = initial_state(0).status
         assert status.is_ongoing
         assert status.label() == "ongoing"
 
@@ -134,7 +130,7 @@ class TestTermination:
         assert final.status.winner is Side.RED
         assert final.status.reason is WinReason.KING_CAPTURED
         assert final.status.label() == "win_red_king_captured"
-        assert terminal_status(final) is final.status
+        assert outcome.game_ended is final.status
 
     def test_meet_marshals_exposure_then_flying_capture(self) -> None:
         # Red's rook sits between the kings; moving it away exposes Red's
@@ -301,75 +297,3 @@ class TestDeterminismAndConservation:
         black = [sq for sq, c in enumerate(state.board) if c == -1]
         assert state.red_king == (red[0] if red else -1)
         assert state.black_king == (black[0] if black else -1)
-
-
-class TestLazyIdentitySampling:
-    def test_needs_generator(self) -> None:
-        state = initial_state_lazy()
-        with pytest.raises(MissingHiddenInfoError):
-            apply_move(state, mv("a3a4"))
-
-    def test_sampling_fixes_identity(self) -> None:
-        state = initial_state_lazy()
-        rng = random.Random(5)
-        nxt, outcome = apply_move(state, mv("a3a4"), rng)
-        assert outcome.revealed is not None
-        assert nxt.piece_at(parse_square("a4")).kind is outcome.revealed
-        # the sampled kind leaves the unassigned pool
-        assert unassigned_pool(nxt, Side.RED).total() == 14
-        assert unassigned_pool(nxt, Side.RED).count(outcome.revealed) == \
-            START_POOL.count(outcome.revealed) - 1
-
-    def test_lazy_capture_assigns_victim_kind(self) -> None:
-        state = initial_state_lazy()
-        rng = random.Random(6)
-        nxt, outcome = apply_move(state, mv("b2b9"), rng)
-        assert outcome.captured is not None and outcome.captured.was_dark
-        assert outcome.captured.kind is not PieceKind.KING
-        assert nxt.captured_by_red[0].kind is outcome.captured.kind
-        assert unassigned_pool(nxt, Side.BLACK).total() == 14
-
-    def test_full_lazy_game_terminates(self) -> None:
-        state = initial_state_lazy()
-        rng = random.Random(8)
-        while not state.status.over:
-            moves = legal_moves(state)
-            state, _ = apply_move(state, moves[rng.randrange(len(moves))], rng)
-        assert state.ply_count < 1500
-
-    def test_eager_pool_is_empty(self) -> None:
-        state = initial_state(4)
-        assert unassigned_pool(state, Side.RED).total() == 0
-        assert unassigned_pool(state, Side.BLACK).total() == 0
-
-    def test_eager_and_lazy_reveal_distributions_match(self) -> None:
-        """Chi-square homogeneity over 1e5 first reveals per mode.
-
-        The first move reveals one uniformly chosen piece either way; with
-        df = 5 the 0.001 critical value is 20.515, and the seeds are fixed,
-        so the outcome is deterministic.
-        """
-        n = 100_000
-        first = mv("a3a4")
-        eager = [0] * 6
-        for seed in range(n):
-            _, outcome = apply_move(initial_state(seed), first)
-            eager[outcome.revealed.value - 1] += 1
-
-        lazy_counts = [0] * 6
-        lazy_state = initial_state_lazy()
-        rng = random.Random(0xFEED)
-        for _ in range(n):
-            _, outcome = apply_move(lazy_state, first, rng)
-            lazy_counts[outcome.revealed.value - 1] += 1
-
-        chi2 = 0.0
-        for e, l in zip(eager, lazy_counts):
-            pooled = (e + l) / 2
-            chi2 += (e - pooled) ** 2 / pooled + (l - pooled) ** 2 / pooled
-        assert chi2 < 20.515, (chi2, eager, lazy_counts)
-        # both should also match the theoretical 2/15 (x5), 5/15 profile
-        for counts in (eager, lazy_counts):
-            expected = [n * 2 / 15] * 5 + [n * 5 / 15]
-            stat = sum((o - ex) ** 2 / ex for o, ex in zip(counts, expected))
-            assert stat < 20.515, (stat, counts)

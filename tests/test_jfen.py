@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import build_state, mv, random_state
 from jieqi import (
@@ -22,6 +26,7 @@ from jieqi import (
     legal_moves,
     observe,
 )
+from jieqi.cli import run_cli
 
 
 class TestEncode:
@@ -103,12 +108,15 @@ class TestDecodeWithoutHidden:
             apply_move(state, mv("a3a4"))
         # moving toward an empty square with a revealed piece is still fine
         partial = decode_state(
-            encode_state(build_state(red={"e0": "K", "e4": "R"},
+            encode_state(build_state(red={"e0": "K", "e4": "R", "a4": "R"},
                                      black={"e8": "K", "a6": "dark:P"}),
                          include_hidden=False)
         )
         nxt, _ = apply_move(partial, mv("e4d4"))
         assert nxt.ply_count == partial.ply_count + 1
+        # capturing a face-down piece needs the victim's identity
+        with pytest.raises(MissingHiddenInfoError, match="a6"):
+            apply_move(partial, mv("a4a6"))
 
     def test_midgame_hidden_less_matches_full(self) -> None:
         state = random_state(31, 60)
@@ -234,3 +242,41 @@ class TestMalformedInputs:
             assert "rank" in str(exc) or "board" in str(exc)
         else:
             pytest.fail("expected JfenError")
+
+
+#: Characters a mutation writes: the JFEN alphabet plus a few foreign ones;
+#: the empty string deletes the character instead.
+_MUTATION_CHARS = list("0123456789/ -*=,KGMRHCPXkgmrhcpxabi") + ["", "q", "\t"]
+
+
+@lru_cache(maxsize=None)
+def _reachable_text(seed: int, plies: int, include_hidden: bool) -> str:
+    return encode_state(random_state(seed, plies), include_hidden=include_hidden)
+
+
+class TestMutatedText:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        seed=st.integers(0, 7),
+        plies=st.sampled_from([0, 10, 40, 120]),
+        include_hidden=st.booleans(),
+        edits=st.lists(
+            st.tuples(st.integers(0, 10_000), st.sampled_from(_MUTATION_CHARS)),
+            min_size=1, max_size=2,
+        ),
+    )
+    def test_only_jfen_errors_and_clean_exit_codes(
+        self, seed: int, plies: int, include_hidden: bool, edits: list[tuple[int, str]]
+    ) -> None:
+        text = _reachable_text(seed, plies, include_hidden)
+        for pos, ch in edits:
+            i = pos % len(text)
+            text = text[:i] + ch + text[i + 1:]
+        try:
+            decode_state(text)
+        except JfenError:
+            pass
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = run_cli(["infoset-size", "--state", text])
+        assert code in (0, 2)

@@ -24,3 +24,16 @@ def test_no_assert_statements() -> None:
 def test_all_exports_resolve() -> None:
     missing = [name for name in jieqi.__all__ if not hasattr(jieqi, name)]
     assert missing == []
+
+
+def test_no_private_cross_module_imports() -> None:
+    # A module that needs a sibling's underscore-prefixed helper is sharing
+    # one rule between two owners; the rule belongs in one public function.
+    found = []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno} {alias.name}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.level > 0
+                  for alias in node.names if alias.name.startswith("_")]
+    assert found == []
