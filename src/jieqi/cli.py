@@ -100,11 +100,14 @@ def _cmd_simulate(parser: _Parser, args: argparse.Namespace) -> int:
         parser.error("--draw-plies must be >= 1")
     rules = Rules(draw_plies=args.draw_plies,
                   classic_dark_roles=args.classic_dark_roles)
+    out = Path(args.out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        parser.error(f"cannot create --out-dir {out}: {exc}")
     summary, series, records = run_simulation(
         args.games, args.seed, args.workers, rules
     )
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     write_games_csv(out / "games.csv", records)
     write_series_csv(out / "series.csv", series)
     write_summary_json(out / "summary.json", summary, args.seed, rules)
@@ -161,7 +164,7 @@ def _load_measured(parser: _Parser, path: str) -> tuple[str, float, float, float
             float(payload["mean_length_plies"]),
             float(payload["log10_gtc"]),
         )
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         parser.error(f"cannot read measured summary {path}: {exc}")
 
 

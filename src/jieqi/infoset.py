@@ -14,6 +14,11 @@ and saw).  The viewer's own face-down pieces captured by the opponent stay
 in the viewer's pool: their identities are unknown to the viewer, so they
 constrain the on-board assignment without being ordered themselves.
 
+The pools and slot counts read only the board's count of each signed cell
+code and the two capture lists.  A move that neither reveals nor captures
+moves a face-up piece to an empty square, which changes none of these, so
+it leaves both viewers' pools -- and hence both sizes -- unchanged.
+
 The per-ply self-play measurement is infoset_size(observe(state, mover)):
 there is one definition, on the observation, and no state-level shortcut.
 """

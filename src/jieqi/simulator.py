@@ -115,19 +115,33 @@ def play_random_game(
     Per ply (one move by one player) the mover's legal-move count and the
     log10 of the mover's exact information-set size are recorded before the
     move is chosen; the terminal position itself records nothing.
+
+    Each side's size is computed on its first ply and again only on its
+    first ply after a move that revealed or captured a piece; in between it
+    is reused, since a quiet move leaves both sides' hidden pools unchanged
+    (see the jieqi.infoset docstring).
     """
     state = initial_state(seed, rules)
     move_rng = random.Random(_splitmix64(seed ^ _GOLDEN))
     branching: list[int] = []
     log10s: list[float] = []
     infoset_total = 0
+    # (size, log10 size) per side, indexed by Side.  Reveals and captures
+    # are the only moves that change a hidden pool (see the jieqi.infoset
+    # docstring), so they alone clear both entries.
+    sized: list[tuple[int, float] | None] = [None, None]
     while not state.status.over:
         moves = legal_moves(state)
-        size = mover_infoset_size(state)
+        entry = sized[state.side_to_move]
+        if entry is None:
+            size = mover_infoset_size(state)
+            entry = sized[state.side_to_move] = (size, exact_log10(size))
         branching.append(len(moves))
-        log10s.append(exact_log10(size))
-        infoset_total += size
-        state, _ = apply_move(state, moves[move_rng.randrange(len(moves))])
+        log10s.append(entry[1])
+        infoset_total += entry[0]
+        state, outcome = apply_move(state, moves[move_rng.randrange(len(moves))])
+        if outcome.revealed is not None or outcome.captured is not None:
+            sized = [None, None]
     return GameRecord(
         game_index=game_index,
         seed=seed,
@@ -163,6 +177,7 @@ def run_simulation(
     if workers < 1:
         raise ValueError("workers must be >= 1")
     tasks = [(i, game_seed(master_seed, i), rules) for i in range(games)]
+    workers = min(workers, games)
     if workers == 1:
         records = [_play_indexed(t) for t in tasks]
     else:

@@ -34,6 +34,8 @@ from jieqi.board import BLACK_DARK_HOME, RED_DARK_HOME
 from jieqi.cli import run_cli
 from jieqi.jfen import INITIAL_JFEN
 
+pytestmark = pytest.mark.acceptance
+
 GAMES = 10_000
 MASTER_SEED = 0
 

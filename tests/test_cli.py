@@ -139,6 +139,18 @@ class TestCompare:
         code, _, _ = run(capsys, "compare", "--measured", "/no/such/file.json")
         assert code == 1
 
+    @pytest.mark.parametrize("payload", [
+        [1, 2],
+        {"mean_branching": {}, "mean_length_plies": 120, "log10_gtc": 190},
+    ], ids=["list", "dict-valued-field"])
+    def test_measured_wrong_shape_usage_error(self, capsys, tmp_path,
+                                              payload) -> None:
+        path = tmp_path / "summary.json"
+        path.write_text(json.dumps(payload))
+        code, _, err = run(capsys, "compare", "--measured", str(path))
+        assert code == 1
+        assert "usage:" in err
+
 
 class TestPerft:
     def test_depth_counts(self, capsys) -> None:
@@ -225,6 +237,19 @@ class TestSimulate:
             assert code == 0
         for name in ("games.csv", "series.csv", "summary.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_out_dir_is_file_fails_before_playing(self, capsys, tmp_path,
+                                                 monkeypatch) -> None:
+        def no_games(*args, **kwargs):
+            pytest.fail("run_simulation called with an unusable --out-dir")
+
+        monkeypatch.setattr("jieqi.cli.run_simulation", no_games)
+        path = tmp_path / "taken"
+        path.write_text("")
+        code, _, err = run(capsys, "simulate", "--games", "5",
+                           "--out-dir", str(path))
+        assert code == 1
+        assert "usage:" in err
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_golden_outputs(self, capsys, tmp_path, workers) -> None:

@@ -262,3 +262,21 @@ class TestProperties:
                     break
                 moves = legal_moves(state)
                 state, _ = apply_move(state, moves[rng.randrange(len(moves))])
+
+    def test_quiet_move_keeps_both_pools(self) -> None:
+        # The invariant the self-play loop relies on to reuse each side's
+        # size: a move that neither reveals nor captures changes no pool.
+        quiet = 0
+        for seed in range(15):
+            state = initial_state(seed)
+            rng = random.Random(seed + 2000)
+            while not state.status.over:
+                moves = legal_moves(state)
+                after, outcome = apply_move(state, moves[rng.randrange(len(moves))])
+                if outcome.revealed is None and outcome.captured is None:
+                    quiet += 1
+                    for viewer in (Side.RED, Side.BLACK):
+                        assert hidden_pools(observe(after, viewer)) == \
+                            hidden_pools(observe(state, viewer))
+                state = after
+        assert quiet > 0

@@ -5,17 +5,27 @@ from __future__ import annotations
 
 import json
 import math
+import random
 
 import pytest
 
+import jieqi.simulator
 from jieqi import (
+    Rules,
     WinReason,
+    apply_move,
     estimate_gtc_log10,
+    exact_log10,
     game_seed,
+    initial_state,
+    legal_moves,
+    mover_infoset_size,
     play_random_game,
     run_simulation,
 )
 from jieqi.simulator import (
+    _GOLDEN,
+    _splitmix64,
     write_games_csv,
     write_series_csv,
     write_summary_json,
@@ -89,7 +99,63 @@ class TestPlayRandomGame:
         assert len(reasons) >= 3
 
 
+def _fresh_infoset_series(seed: int, rules: Rules) -> tuple[list[float], int]:
+    """The game play_random_game plays from `seed`, with the mover's
+    information-set size computed afresh on every ply."""
+    state = initial_state(seed, rules)
+    move_rng = random.Random(_splitmix64(seed ^ _GOLDEN))
+    log10s: list[float] = []
+    total = 0
+    while not state.status.over:
+        moves = legal_moves(state)
+        size = mover_infoset_size(state)
+        log10s.append(exact_log10(size))
+        total += size
+        state, _ = apply_move(state, moves[move_rng.randrange(len(moves))])
+    return log10s, total
+
+
+class TestInfosetReuse:
+    @pytest.mark.parametrize(
+        "rules", [STANDARD_RULES, Rules(draw_plies=12, classic_dark_roles=True)],
+        ids=["standard", "draw12-classic"],
+    )
+    def test_equals_fresh_size_every_ply(self, rules) -> None:
+        for i in range(30):
+            seed = game_seed(21, i)
+            rec = play_random_game(seed, rules)
+            log10s, total = _fresh_infoset_series(seed, rules)
+            assert rec.log10_infoset_per_ply == log10s, seed
+            assert rec.infoset_total == total, seed
+
+
 class TestRunSimulation:
+    def test_pool_no_larger_than_games(self, monkeypatch) -> None:
+        sizes: list[int] = []
+
+        class FakePool:
+            """Records the size it was asked for; maps in this process."""
+
+            def __init__(self, processes: int) -> None:
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc) -> None:
+                return None
+
+            def map(self, fn, tasks, chunksize=1):
+                return [fn(t) for t in tasks]
+
+        monkeypatch.setattr(jieqi.simulator, "Pool", FakePool)
+        _, _, records = run_simulation(games=2, master_seed=3, workers=8)
+        assert sizes == [2]
+        assert [r.game_index for r in records] == [0, 1]
+        # one game needs one worker: the serial path, no pool
+        run_simulation(games=1, master_seed=3, workers=4)
+        assert sizes == [2]
+
     def test_worker_count_cannot_change_results(self) -> None:
         s1, r1, g1 = run_simulation(games=100, master_seed=3, workers=1)
         s2, r2, g2 = run_simulation(games=100, master_seed=3, workers=2)
