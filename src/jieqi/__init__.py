@@ -23,24 +23,19 @@ from .combinatorics import (
 )
 from .engine import (
     Capture,
-    CapturedInfo,
     GameState,
     IllegalMoveError,
     MissingHiddenInfoError,
     Move,
-    MoveOutcome,
-    Observation,
     Piece,
     Rules,
     STANDARD_RULES,
-    TerminalStatus,
     WinReason,
     apply_move,
     initial_state,
     legal_moves,
     observe,
     perft,
-    perft_counts,
 )
 from .enumeration import (
     CountParams,
@@ -57,10 +52,6 @@ from .infoset import (
 )
 from .jfen import INITIAL_JFEN, JfenError, decode_state, encode_state
 from .simulator import (
-    GameRecord,
-    RunningSeries,
-    SeriesRow,
-    SimulationSummary,
     estimate_gtc_log10,
     game_seed,
     play_random_game,
@@ -71,9 +62,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Capture",
-    "CapturedInfo",
     "CountParams",
-    "GameRecord",
     "GameState",
     "HiddenPools",
     "INITIAL_JFEN",
@@ -82,19 +71,13 @@ __all__ = [
     "KindMultiset",
     "MissingHiddenInfoError",
     "Move",
-    "MoveOutcome",
-    "Observation",
     "Piece",
     "PieceKind",
     "Rules",
-    "RunningSeries",
     "STANDARD_PARAMS",
     "STANDARD_RULES",
     "START_POOL",
-    "SeriesRow",
     "Side",
-    "SimulationSummary",
-    "TerminalStatus",
     "WinReason",
     "apply_move",
     "binomial",
@@ -115,7 +98,6 @@ __all__ = [
     "observe",
     "parse_square",
     "perft",
-    "perft_counts",
     "play_random_game",
     "role_of_square",
     "run_simulation",

@@ -17,6 +17,11 @@ Board cells are encoded as small ints:
     |v| == 8     face-down (dark) piece; its true kind is *not* part of
                  the cell value, so anything computed from cells alone is
                  automatically free of hidden information
+
+This module owns that code and the kind letters.  Other modules read cells
+through CELL_KIND and the per-side DARK_CELL, KING_CELL and NON_KING_CELLS
+tables, make revealed cells with make_cell, and spell kinds with
+PieceKind.letter.
 """
 
 from __future__ import annotations
@@ -31,6 +36,9 @@ FILE_LETTERS = "abcdefghi"
 
 # Cell magnitude marking a face-down piece (kinds occupy 1..7).
 DARK_CODE = 8
+
+# Kind letters, indexed by PieceKind value.
+_KIND_LETTERS = "KGMRHCP"
 
 
 @unique
@@ -66,11 +74,11 @@ class PieceKind(IntEnum):
 
     @property
     def letter(self) -> str:
-        return "KGMRHCP"[self.value]
+        return _KIND_LETTERS[self.value]
 
     @classmethod
     def from_letter(cls, letter: str) -> PieceKind:
-        idx = "KGMRHCP".find(letter.upper())
+        idx = _KIND_LETTERS.find(letter.upper())
         if idx < 0:
             raise ValueError(f"unknown piece letter {letter!r}")
         return cls(idx)
@@ -86,6 +94,10 @@ NON_KING_KINDS = (
     PieceKind.PAWN,
 )
 
+#: Position of each non-king kind in NON_KING_KINDS, and so in every count
+#: vector.
+KIND_INDEX = {kind: i for i, kind in enumerate(NON_KING_KINDS)}
+
 # Per-side initial count of each non-king kind, indexed like NON_KING_KINDS.
 START_COUNTS = (2, 2, 2, 2, 2, 5)
 
@@ -94,10 +106,6 @@ def square(file: int, rank: int) -> int:
     if not (0 <= file < FILES and 0 <= rank < RANKS):
         raise ValueError(f"square off board: file={file} rank={rank}")
     return rank * FILES + file
-
-
-def square_file(sq: int) -> int:
-    return sq % FILES
 
 
 def square_rank(sq: int) -> int:
@@ -109,41 +117,35 @@ def square_name(sq: int) -> str:
 
 
 def parse_square(text: str) -> int:
-    if len(text) != 2 or text[0] not in FILE_LETTERS or not text[1].isdigit():
+    if len(text) != 2 or text[0] not in FILE_LETTERS or text[1] not in "0123456789":
         raise ValueError(f"bad square name {text!r}")
     return square(FILE_LETTERS.index(text[0]), int(text[1]))
 
 
-# --- cell helpers ----------------------------------------------------------
+# --- cell code ---------------------------------------------------------------
 
 def make_cell(side: Side, kind: PieceKind) -> int:
     v = kind.value + 1
     return v if side is Side.RED else -v
 
 
-def make_dark_cell(side: Side) -> int:
-    return DARK_CODE if side is Side.RED else -DARK_CODE
+#: Kind of every non-empty cell code; None for a face-down piece.
+CELL_KIND: dict[int, PieceKind | None] = {
+    **{make_cell(side, kind): kind for side in Side for kind in PieceKind},
+    DARK_CODE: None,
+    -DARK_CODE: None,
+}
 
-
-def cell_side(cell: int) -> Side:
-    return Side.RED if cell > 0 else Side.BLACK
-
-
-def cell_is_dark(cell: int) -> bool:
-    return cell == DARK_CODE or cell == -DARK_CODE
-
-
-def cell_kind(cell: int) -> PieceKind:
-    """Kind of a revealed cell. Not meaningful for empty or dark cells."""
-    return PieceKind(abs(cell) - 1)
+# Per-side cell codes, indexed by Side.
+DARK_CELL = (DARK_CODE, -DARK_CODE)
+KING_CELL = tuple(make_cell(side, PieceKind.KING) for side in Side)
+#: Revealed non-king codes in NON_KING_KINDS order.
+NON_KING_CELLS = tuple(
+    tuple(make_cell(side, kind) for kind in NON_KING_KINDS) for side in Side
+)
 
 
 # --- initial layout and positional roles -----------------------------------
-
-def _mirror(sq: int) -> int:
-    """Same file, rank reflected across the river (Red <-> Black half)."""
-    return (RANKS - 1 - sq // FILES) * FILES + sq % FILES
-
 
 _RED_BACK = {
     0: PieceKind.ROOK, 1: PieceKind.HORSE, 2: PieceKind.MINISTER,
@@ -185,11 +187,6 @@ BLACK_DARK_HOME: tuple[int, ...] = tuple(
 )
 
 DARK_HOME = {Side.RED: RED_DARK_HOME, Side.BLACK: BLACK_DARK_HOME}
-
-
-def side_of_half(sq: int) -> Side:
-    """Which side's half of the board the square lies on."""
-    return Side.RED if square_rank(sq) <= 4 else Side.BLACK
 
 
 def in_palace(sq: int, side: Side) -> bool:

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .board import NON_KING_KINDS, START_COUNTS, PieceKind
+from .board import KIND_INDEX, NON_KING_KINDS, START_COUNTS, PieceKind
 
 
 @lru_cache(maxsize=None)
@@ -46,21 +46,21 @@ class KindMultiset:
     def from_kinds(cls, kinds) -> KindMultiset:
         counts = [0] * len(NON_KING_KINDS)
         for kind in kinds:
-            counts[_KIND_INDEX[kind]] += 1
+            counts[KIND_INDEX[kind]] += 1
         return cls(tuple(counts))
 
     def total(self) -> int:
         return sum(self.counts)
 
     def count(self, kind: PieceKind) -> int:
-        return self.counts[_KIND_INDEX[kind]]
+        return self.counts[KIND_INDEX[kind]]
 
     def add(self, kind: PieceKind, n: int = 1) -> KindMultiset:
-        i = _KIND_INDEX[kind]
+        i = KIND_INDEX[kind]
         return KindMultiset(self.counts[:i] + (self.counts[i] + n,) + self.counts[i + 1:])
 
     def remove(self, kind: PieceKind, n: int = 1) -> KindMultiset:
-        i = _KIND_INDEX[kind]
+        i = KIND_INDEX[kind]
         if self.counts[i] < n:
             raise ValueError(f"cannot remove {n} x {kind.name} from {self}")
         return KindMultiset(self.counts[:i] + (self.counts[i] - n,) + self.counts[i + 1:])
@@ -82,8 +82,6 @@ class KindMultiset:
         inner = ",".join(f"{k.letter}:{c}" for k, c in self.items())
         return "{" + inner + "}"
 
-
-_KIND_INDEX = {kind: i for i, kind in enumerate(NON_KING_KINDS)}
 
 #: One side's full complement of non-king pieces.
 START_POOL = KindMultiset(START_COUNTS)

@@ -39,11 +39,14 @@ from typing import Iterable, NamedTuple
 from .board import (
     BLACK_DARK_HOME,
     BLACK_KING_START,
-    DARK_CODE,
+    CELL_KIND,
+    DARK_CELL,
     FILES,
     GUARD_STEPS,
     GUARD_STEPS_CLASSIC,
     HORSE_MOVES,
+    KIND_INDEX,
+    KING_CELL,
     KING_STEPS,
     MINISTER_JUMPS,
     NON_KING_KINDS,
@@ -57,7 +60,6 @@ from .board import (
     Side,
     in_palace,
     make_cell,
-    make_dark_cell,
     parse_square,
     square_name,
 )
@@ -180,11 +182,12 @@ class MoveOutcome:
 class GameState:
     """Arbiter state: public board plus the hidden identity assignment.
 
-    `board` holds only player-visible cell codes (see jieqi.board); the true
-    kinds of face-down pieces live in `hidden`, keyed by square.  A dark
-    square absent from `hidden` has an *undetermined* identity: such states
-    arise only from decoding a state text without its hidden section, and
-    support observation-level operations only.
+    `board` holds only player-visible cell codes (see jieqi.board).  It is
+    the one record of where the Kings stand: a captured King's cell is gone
+    from it.  The true kinds of face-down pieces live in `hidden`, keyed by
+    square.  A dark square absent from `hidden` has an *undetermined*
+    identity: such states arise only from decoding a state text without its
+    hidden section, and support observation-level operations only.
     """
 
     board: tuple[int, ...]
@@ -196,17 +199,16 @@ class GameState:
     captured_by_black: tuple[Capture, ...]
     status: TerminalStatus
     rules: Rules
-    red_king: int           # king squares, -1 once captured
-    black_king: int
 
     def piece_at(self, sq: int) -> Piece | None:
         cell = self.board[sq]
         if cell == 0:
             return None
         side = Side.RED if cell > 0 else Side.BLACK
-        if abs(cell) == DARK_CODE:
+        kind = CELL_KIND[cell]
+        if kind is None:
             return Piece(side, self.hidden.get(sq), True)
-        return Piece(side, PieceKind(abs(cell) - 1), False)
+        return Piece(side, kind, False)
 
     def captures_by(self, side: Side) -> tuple[Capture, ...]:
         return self.captured_by_red if side is Side.RED else self.captured_by_black
@@ -216,7 +218,7 @@ class GameState:
         return all(
             sq in self.hidden
             for sq, cell in enumerate(self.board)
-            if abs(cell) == DARK_CODE
+            if cell in DARK_CELL
         )
 
 
@@ -260,14 +262,12 @@ def initial_state(seed: int, rules: Rules = STANDARD_RULES) -> GameState:
     rng = random.Random(seed & 0xFFFFFFFFFFFFFFFF)
     board = [0] * NUM_SQUARES
     hidden: dict[int, PieceKind] = {}
-    board[RED_KING_START] = make_cell(Side.RED, PieceKind.KING)
-    board[BLACK_KING_START] = make_cell(Side.BLACK, PieceKind.KING)
+    board[RED_KING_START], board[BLACK_KING_START] = KING_CELL
     for side, home in ((Side.RED, RED_DARK_HOME), (Side.BLACK, BLACK_DARK_HOME)):
         kinds = START_POOL.expand()
         rng.shuffle(kinds)
-        dark = make_dark_cell(side)
         for sq, kind in zip(home, kinds):
-            board[sq] = dark
+            board[sq] = DARK_CELL[side]
             hidden[sq] = kind
     return GameState(
         board=tuple(board),
@@ -279,8 +279,6 @@ def initial_state(seed: int, rules: Rules = STANDARD_RULES) -> GameState:
         captured_by_black=(),
         status=ONGOING,
         rules=rules,
-        red_king=RED_KING_START,
-        black_king=BLACK_KING_START,
     )
 
 
@@ -333,8 +331,10 @@ def _gen_piece(
     out: list[Move],
 ) -> None:
     red = cell > 0
-    dark = cell == DARK_CODE or cell == -DARK_CODE
-    kind = ROLE_OF_SQUARE[sq] if dark else PieceKind(abs(cell) - 1)
+    kind = CELL_KIND[cell]
+    dark = kind is None
+    if dark:
+        kind = ROLE_OF_SQUARE[sq]
 
     if kind is PieceKind.ROOK:
         for ray in RAYS[sq]:
@@ -395,7 +395,7 @@ def _gen_piece(
         # it across any distance.
         step = FILES if red else -FILES
         d = sq + step
-        enemy_king = -1 if red else 1
+        enemy_king = _BLACK_KING if red else _RED_KING
         while 0 <= d < NUM_SQUARES:
             c = board[d]
             if c != 0:
@@ -409,27 +409,26 @@ def _gen_piece(
 # applying moves
 # ---------------------------------------------------------------------------
 
+_RED_KING, _BLACK_KING = KING_CELL
+
+
 def game_status(
     board: tuple[int, ...],
     side_to_move: Side,
     plies_since_capture: int,
-    red_king: int,
-    black_king: int,
     rules: Rules,
 ) -> TerminalStatus:
-    """The termination rule, checked in order: King captured, no-capture
-    draw, side to move stalemated.
+    """The termination rule, checked in order: King captured (a King's cell
+    is missing from the board), no-capture draw, side to move stalemated.
 
     A King can reach the enemy palace only by the flying-general capture,
     so a winner whose King stands in the loser's palace won by
     meet-the-marshals; any other King capture is a plain one.
     """
-    if red_king < 0 or black_king < 0:
-        if red_king < 0:
-            winner, winner_king = Side.BLACK, black_king
-        else:
-            winner, winner_king = Side.RED, red_king
-        if in_palace(winner_king, winner.opponent):
+    if _RED_KING not in board or _BLACK_KING not in board:
+        winner = Side.BLACK if _RED_KING not in board else Side.RED
+        king = KING_CELL[winner]
+        if king in board and in_palace(board.index(king), winner.opponent):
             return TerminalStatus.win(winner, WinReason.MEET_MARSHALS)
         return TerminalStatus.win(winner, WinReason.KING_CAPTURED)
     if plies_since_capture >= rules.draw_plies:
@@ -470,9 +469,8 @@ def apply_move(state: GameState, move: Move) -> tuple[GameState, MoveOutcome]:
     hidden = dict(state.hidden)
     to_cell = board[move.to_sq]
 
-    was_dark = abs(from_cell) == DARK_CODE
     revealed: PieceKind | None = None
-    if was_dark:
+    if from_cell in DARK_CELL:
         revealed = hidden.pop(move.from_sq, None)
         if revealed is None:
             raise _missing_identity(mover, move.from_sq)
@@ -484,25 +482,13 @@ def apply_move(state: GameState, move: Move) -> tuple[GameState, MoveOutcome]:
     captured: CapturedInfo | None = None
     if to_cell != 0:
         victim = mover.opponent
-        cap_dark = abs(to_cell) == DARK_CODE
+        cap_kind = CELL_KIND[to_cell]
+        cap_dark = cap_kind is None
         if cap_dark:
             cap_kind = hidden.pop(move.to_sq, None)
             if cap_kind is None:
                 raise _missing_identity(victim, move.to_sq)
-        else:
-            cap_kind = PieceKind(abs(to_cell) - 1)
         captured = CapturedInfo(victim, cap_kind, cap_dark)
-
-    red_king, black_king = state.red_king, state.black_king
-    if move.from_sq == red_king:
-        red_king = move.to_sq
-    elif move.from_sq == black_king:
-        black_king = move.to_sq
-    if captured is not None and captured.kind is PieceKind.KING:
-        if captured.side is Side.RED:
-            red_king = -1
-        else:
-            black_king = -1
 
     captured_by_red = state.captured_by_red
     captured_by_black = state.captured_by_black
@@ -518,8 +504,7 @@ def apply_move(state: GameState, move: Move) -> tuple[GameState, MoveOutcome]:
 
     next_side = mover.opponent
     board_t = tuple(board)
-    status = game_status(board_t, next_side, plies_since_capture,
-                         red_king, black_king, state.rules)
+    status = game_status(board_t, next_side, plies_since_capture, state.rules)
 
     new_state = GameState(
         board=board_t,
@@ -531,8 +516,6 @@ def apply_move(state: GameState, move: Move) -> tuple[GameState, MoveOutcome]:
         captured_by_black=captured_by_black,
         status=status,
         rules=state.rules,
-        red_king=red_king,
-        black_king=black_king,
     )
     return new_state, MoveOutcome(revealed, captured, status)
 
@@ -555,8 +538,7 @@ def _capture_buckets(entries: tuple[Capture, ...]) -> tuple[KindMultiset, KindMu
     dark = [0] * len(NON_KING_KINDS)
     for kind, was_dark in entries:
         if kind is not PieceKind.KING:
-            # NON_KING_KINDS lists PieceKind 1..6 in order
-            (dark if was_dark else revealed)[kind - 1] += 1
+            (dark if was_dark else revealed)[KIND_INDEX[kind]] += 1
     return KindMultiset(tuple(revealed)), KindMultiset(tuple(dark)), sum(dark)
 
 

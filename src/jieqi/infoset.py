@@ -28,12 +28,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .board import DARK_CODE, NON_KING_KINDS, START_COUNTS, Side
+from .board import DARK_CELL, NON_KING_CELLS, START_COUNTS
 from .combinatorics import KindMultiset, multiset_arrangements
 from .engine import GameState, Observation, observe
-
-#: Cell magnitudes of the non-king kinds, in NON_KING_KINDS order.
-_KIND_CODES = tuple(kind + 1 for kind in NON_KING_KINDS)
 
 
 @dataclass(frozen=True)
@@ -55,19 +52,19 @@ def hidden_pools(obs: Observation) -> HiddenPools:
     counts exceed the initial material (corrupt input).
     """
     cells = Counter(obs.view)
-    sign = 1 if obs.viewer is Side.RED else -1
-    own_slots = cells[sign * DARK_CODE]
-    opp_slots = cells[-sign * DARK_CODE]
+    own, opp = obs.viewer, obs.viewer.opponent
+    own_slots = cells[DARK_CELL[own]]
+    opp_slots = cells[DARK_CELL[opp]]
     own_counts = tuple(
-        start - cells[sign * code] - lost
+        start - cells[code] - lost
         for start, code, lost in zip(
-            START_COUNTS, _KIND_CODES, obs.own_revealed_captured_by_opp.counts
+            START_COUNTS, NON_KING_CELLS[own], obs.own_revealed_captured_by_opp.counts
         )
     )
     opp_counts = tuple(
-        start - cells[-sign * code] - taken - seen
+        start - cells[code] - taken - seen
         for start, code, taken, seen in zip(
-            START_COUNTS, _KIND_CODES, obs.opp_revealed_captured.counts,
+            START_COUNTS, NON_KING_CELLS[opp], obs.opp_revealed_captured.counts,
             obs.opp_dark_captured_by_viewer.counts,
         )
     )

@@ -34,16 +34,16 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .board import (
-    DARK_CODE,
+    DARK_CELL,
     DARK_HOME,
     FILES,
+    KING_CELL,
     NUM_SQUARES,
     RANKS,
     PieceKind,
     Side,
     in_palace,
     make_cell,
-    make_dark_cell,
     parse_square,
     square_name,
 )
@@ -64,15 +64,16 @@ class JfenError(ValueError):
     """Malformed state text; the message names the offending field."""
 
 
-_KIND_LETTERS = "KGMRHCP"
+def _cased(letter: str, side: Side) -> str:
+    return letter if side is Side.RED else letter.lower()
 
 
-def _piece_letter(cell: int) -> str:
-    if abs(cell) == DARK_CODE:
-        letter = "X"
-    else:
-        letter = _KIND_LETTERS[abs(cell) - 1]
-    return letter if cell > 0 else letter.lower()
+#: Board letter of every non-empty cell code, and its inverse.
+_CELL_LETTER = {
+    **{make_cell(side, kind): _cased(kind.letter, side) for side in Side for kind in PieceKind},
+    **{DARK_CELL[side]: _cased("X", side) for side in Side},
+}
+_LETTER_CELL = {letter: cell for cell, letter in _CELL_LETTER.items()}
 
 
 def _captures_field(entries: tuple[Capture, ...], owner: Side) -> str:
@@ -80,7 +81,7 @@ def _captures_field(entries: tuple[Capture, ...], owner: Side) -> str:
         return "-"
     out = []
     for kind, was_dark in entries:
-        letter = kind.letter if owner is Side.RED else kind.letter.lower()
+        letter = _cased(kind.letter, owner)
         out.append(letter + "*" if was_dark else letter)
     return "".join(out)
 
@@ -99,7 +100,7 @@ def encode_state(state: GameState, include_hidden: bool = True) -> str:
                 if run:
                     row.append(str(run))
                     run = 0
-                row.append(_piece_letter(cell))
+                row.append(_CELL_LETTER[cell])
         if run:
             row.append(str(run))
         ranks.append("".join(row))
@@ -109,7 +110,7 @@ def encode_state(state: GameState, include_hidden: bool = True) -> str:
         for r in range(RANKS - 1, -1, -1):
             for f in range(FILES):
                 sq = r * FILES + f
-                if abs(state.board[sq]) != DARK_CODE:
+                if state.board[sq] not in DARK_CELL:
                     continue
                 kind = state.hidden.get(sq)
                 if kind is None:
@@ -117,8 +118,8 @@ def encode_state(state: GameState, include_hidden: bool = True) -> str:
                         f"cannot encode hidden section: identity of {square_name(sq)} "
                         "is undetermined"
                     )
-                letter = kind.letter if state.board[sq] > 0 else kind.letter.lower()
-                entries.append(f"{square_name(sq)}={letter}")
+                side = Side.RED if state.board[sq] > 0 else Side.BLACK
+                entries.append(f"{square_name(sq)}={_cased(kind.letter, side)}")
         hidden_field = ",".join(entries) if entries else "-"
     else:
         hidden_field = "-"
@@ -150,7 +151,7 @@ def _parse_board(field: str) -> list[int]:
         f = 0
         prev_digit = False
         for ch in text:
-            if ch.isdigit():
+            if ch in "0123456789":
                 if prev_digit:
                     raise JfenError(f"board rank {r}: consecutive digits in {text!r}")
                 if ch == "0":
@@ -161,14 +162,10 @@ def _parse_board(field: str) -> list[int]:
             prev_digit = False
             if f >= FILES:
                 raise JfenError(f"board rank {r}: width exceeds {FILES}")
-            upper = ch.upper()
-            if upper == "X":
-                cell = DARK_CODE
-            elif upper in _KIND_LETTERS:
-                cell = _KIND_LETTERS.index(upper) + 1
-            else:
+            cell = _LETTER_CELL.get(ch)
+            if cell is None:
                 raise JfenError(f"board rank {r}: bad piece letter {ch!r}")
-            board[r * FILES + f] = cell if ch.isupper() else -cell
+            board[r * FILES + f] = cell
             f += 1
         if f != FILES:
             raise JfenError(f"board rank {r}: width {f}, expected {FILES}")
@@ -198,7 +195,7 @@ def _parse_captures(field: str, field_name: str, owner: Side) -> tuple[Capture, 
 
 
 def _parse_hidden(field: str, board: list[int]) -> dict[int, PieceKind]:
-    dark_squares = {sq for sq in range(NUM_SQUARES) if abs(board[sq]) == DARK_CODE}
+    dark_squares = {sq for sq in range(NUM_SQUARES) if board[sq] in DARK_CELL}
     if field == "-":
         return {}
     hidden: dict[int, PieceKind] = {}
@@ -235,7 +232,7 @@ def _check_material(state: GameState, side: Side, has_hidden: bool) -> None:
     starting squares, its King is on the board or captured exactly once,
     and its unaccounted pool fills its face-down squares (and equals the
     hidden assignment when present)."""
-    king, dark = make_cell(side, PieceKind.KING), make_dark_cell(side)
+    king, dark = KING_CELL[side], DARK_CELL[side]
     kings_on_board = 0
     dark_squares = []
     for sq, cell in enumerate(state.board):
@@ -273,6 +270,17 @@ def _check_material(state: GameState, side: Side, has_hidden: bool) -> None:
             )
 
 
+def _parse_counter(field: str) -> int:
+    # ASCII digits only: str.isdigit() alone admits "²", which int()
+    # rejects, and other scripts' digits, which int() reads.
+    if not (field.isascii() and field.isdigit()):
+        raise JfenError("counters must be non-negative decimals")
+    try:
+        return int(field)
+    except ValueError:  # past int()'s limit on digits
+        raise JfenError(f"counter of {len(field)} digits is too long") from None
+
+
 def decode_state(text: str, rules: Rules = STANDARD_RULES) -> GameState:
     """Parse JFEN text into a GameState, validating the grammar and piece
     conservation. Raises JfenError naming the bad field on malformed input."""
@@ -286,10 +294,8 @@ def decode_state(text: str, rules: Rules = STANDARD_RULES) -> GameState:
         side_to_move = Side.from_letter(side_f)
     except ValueError as exc:
         raise JfenError(f"side to move: {exc}") from None
-    if not psc_f.isdigit() or not plyc_f.isdigit():
-        raise JfenError("counters must be non-negative decimals")
-    plies_since_capture = int(psc_f)
-    ply_count = int(plyc_f)
+    plies_since_capture = _parse_counter(psc_f)
+    ply_count = _parse_counter(plyc_f)
     if plies_since_capture > rules.draw_plies:
         raise JfenError(
             f"plies-since-capture {plies_since_capture} exceeds the draw limit {rules.draw_plies}"
@@ -299,8 +305,6 @@ def decode_state(text: str, rules: Rules = STANDARD_RULES) -> GameState:
     captured_by_black = _parse_captures(capb_f, "captured-by-black", Side.RED)
     hidden = _parse_hidden(hidden_f, board)
 
-    red_king = board.index(1) if 1 in board else -1
-    black_king = board.index(-1) if -1 in board else -1
     state = GameState(
         board=tuple(board),
         hidden=hidden,
@@ -311,13 +315,11 @@ def decode_state(text: str, rules: Rules = STANDARD_RULES) -> GameState:
         captured_by_black=captured_by_black,
         status=ONGOING,
         rules=rules,
-        red_king=red_king,
-        black_king=black_king,
     )
     for side in (Side.RED, Side.BLACK):
         _check_material(state, side, hidden_f != "-")
     return replace(state, status=game_status(
-        state.board, side_to_move, plies_since_capture, red_king, black_king, rules
+        state.board, side_to_move, plies_since_capture, rules
     ))
 
 

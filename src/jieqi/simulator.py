@@ -31,7 +31,7 @@ from .infoset import mover_infoset_size
 MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
 
-#: RunningSeries checkpoint spacing, in games.
+#: series.csv checkpoint spacing, in games.
 CHECKPOINT_EVERY = 100
 
 
@@ -70,19 +70,15 @@ class GameRecord:
 
 
 class SeriesRow(NamedTuple):
+    """Cumulative statistics after `games_completed` games; run_simulation
+    samples them every CHECKPOINT_EVERY games (plus a final row), tracing
+    how the estimates converge as games accumulate."""
+
     games_completed: int
     cum_avg_branching: float
     cum_avg_length: float
     cum_avg_log10_infoset: float
     cum_log10_gtc: float
-
-
-@dataclass(frozen=True)
-class RunningSeries:
-    """Cumulative statistics sampled every CHECKPOINT_EVERY games (plus a
-    final row), tracing how the estimates converge as games accumulate."""
-
-    rows: list[SeriesRow]
 
 
 @dataclass(frozen=True)
@@ -163,14 +159,14 @@ def run_simulation(
     master_seed: int = 0,
     workers: int = 1,
     rules: Rules = STANDARD_RULES,
-) -> tuple[SimulationSummary, RunningSeries, list[GameRecord]]:
+) -> tuple[SimulationSummary, list[SeriesRow], list[GameRecord]]:
     """Play `games` independent random games and aggregate.
 
     The branching factor is pooled over all plies of all games; game length
     is the per-game mean; the information-set statistic is reported both as
     the mean of per-ply log10 sizes and as the log10 of the exact
     arithmetic-mean size.  `workers` only distributes the games; it cannot
-    change any output.
+    change any output.  Returns (summary, series rows, game records).
     """
     if games < 1:
         raise ValueError("games must be >= 1")
@@ -219,7 +215,7 @@ def run_simulation(
         log10_gtc=estimate_gtc_log10(mean_branching, mean_length),
         result_breakdown=dict(sorted(breakdown.items())),
     )
-    return summary, RunningSeries(rows), records
+    return summary, rows, records
 
 
 # ---------------------------------------------------------------------------
@@ -241,12 +237,12 @@ def write_games_csv(path: Path, records: list[GameRecord]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def write_series_csv(path: Path, series: RunningSeries) -> None:
+def write_series_csv(path: Path, series: list[SeriesRow]) -> None:
     lines = [
         "games_completed,cum_avg_branching,cum_avg_length,"
         "cum_avg_log10_infoset,cum_log10_gtc"
     ]
-    for row in series.rows:
+    for row in series:
         lines.append(
             f"{row.games_completed},{_fmt(row.cum_avg_branching)},"
             f"{_fmt(row.cum_avg_length)},{_fmt(row.cum_avg_log10_infoset)},"

@@ -17,7 +17,7 @@ from jieqi import (
     legal_moves,
     parse_square,
 )
-from jieqi.board import NUM_SQUARES, make_cell, make_dark_cell
+from jieqi.board import DARK_CELL, NUM_SQUARES, make_cell
 from jieqi.engine import Capture, ONGOING
 
 
@@ -39,7 +39,6 @@ def build_state(
     """
     board = [0] * NUM_SQUARES
     hidden: dict[int, PieceKind] = {}
-    kings = {Side.RED: -1, Side.BLACK: -1}
     on_board = {Side.RED: [], Side.BLACK: []}
     for side, pieces in ((Side.RED, red or {}), (Side.BLACK, black or {})):
         for name, entry in pieces.items():
@@ -47,19 +46,17 @@ def build_state(
             assert board[sq] == 0, f"square {name} used twice"
             if entry.startswith("dark:"):
                 kind = PieceKind.from_letter(entry[5:])
-                board[sq] = make_dark_cell(side)
+                board[sq] = DARK_CELL[side]
                 hidden[sq] = kind
             else:
                 kind = PieceKind.from_letter(entry)
                 board[sq] = make_cell(side, kind)
-                if kind is PieceKind.KING:
-                    kings[side] = sq
             on_board[side].append(kind)
 
     def missing(side: Side) -> tuple:
         pool = START_POOL
         entries = []
-        if kings[side] < 0:
+        if PieceKind.KING not in on_board[side]:
             entries.append(Capture(PieceKind.KING, False))
         for kind in on_board[side]:
             if kind is not PieceKind.KING:
@@ -78,8 +75,6 @@ def build_state(
         captured_by_black=missing(Side.RED),
         status=ONGOING,
         rules=rules,
-        red_king=kings[Side.RED],
-        black_king=kings[Side.BLACK],
     )
 
 

@@ -48,6 +48,13 @@ class TestExitCodes:
         assert code == 2
         assert "hidden" in err
 
+    @pytest.mark.parametrize("command", [["infoset-size"], ["perft", "--depth", "1"]])
+    def test_non_ascii_counter_is_two(self, capsys, command) -> None:
+        state = SEED42_JFEN.replace(" r 0 0 ", " r ² 0 ", 1)
+        code, _, err = run(capsys, *command, "--state", state)
+        assert code == 2
+        assert "counter" in err
+
     def test_help_exits_zero(self, capsys) -> None:
         code, out, _ = run(capsys, "--help")
         assert code == 0

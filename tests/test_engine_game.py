@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import build_state, mv, random_state
+from conftest import build_state, mv
 from jieqi import (
     IllegalMoveError,
     KindMultiset,
@@ -290,10 +290,3 @@ class TestDeterminismAndConservation:
                     if abs(cell) == DARK_CODE:
                         side = Side.RED if cell > 0 else Side.BLACK
                         assert sq in DARK_HOME[side], square_name(sq)
-
-    def test_kings_tracked(self) -> None:
-        state = random_state(3, 90)
-        red = [sq for sq, c in enumerate(state.board) if c == 1]
-        black = [sq for sq, c in enumerate(state.board) if c == -1]
-        assert state.red_king == (red[0] if red else -1)
-        assert state.black_king == (black[0] if black else -1)

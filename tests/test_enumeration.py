@@ -4,15 +4,25 @@ the full scale, plus the full-scale result."""
 
 from __future__ import annotations
 
+import random
+from collections import Counter
+
 import pytest
 
 from jieqi import (
     CountParams,
     STANDARD_PARAMS,
+    Side,
+    apply_move,
     count_information_sets,
     count_information_sets_bruteforce,
     exact_log10,
+    game_seed,
+    initial_state,
+    legal_moves,
+    observe,
 )
+from jieqi.board import DARK_CELL, DARK_HOME, NON_KING_CELLS
 from reference_count import reference_count
 
 # Full-scale result, frozen once from this implementation after the
@@ -103,6 +113,50 @@ class TestReferenceSum:
             for always in (False, True):
                 assert count_information_sets(params, always) == \
                     reference_count(params, always), (params, always)
+
+
+class TestCountModel:
+    def test_reached_observations_lie_in_the_sum(self) -> None:
+        """Every observation of 200 seeded random games, seen by Red (the
+        count's viewpoint), maps to a term of count_information_sets: per
+        side, i of the n pieces on the board with j <= min(i, d) of them
+        face-down on that side's home squares, and k <= n - i of Red's
+        off-board pieces taken face-down."""
+        n, s, d = (STANDARD_PARAMS.pieces_per_side, STANDARD_PARAMS.board_squares,
+                   STANDARD_PARAMS.dark_squares_per_side)
+        reached = set()
+        for game in range(200):
+            seed = game_seed(0, game)
+            state = initial_state(seed)
+            rng = random.Random(seed)
+            while True:
+                obs = observe(state, Side.RED)
+                cells = Counter(obs.view)
+                indices = []
+                for side in Side:
+                    dark = cells[DARK_CELL[side]]
+                    on = dark + sum(cells[code] for code in NON_KING_CELLS[side])
+                    assert 0 <= on <= n and 0 <= dark <= min(on, d)
+                    dark_squares = {sq for sq, c in enumerate(obs.view)
+                                    if c == DARK_CELL[side]}
+                    assert dark_squares <= set(DARK_HOME[side])
+                    indices += [on, dark]
+                r_on, r_dark, b_on, b_dark = indices
+                r_off_dark = obs.own_dark_lost_count
+                assert 0 <= r_off_dark <= n - r_on
+                assert n - r_on == r_off_dark + obs.own_revealed_captured_by_opp.total()
+                assert n - b_on == (obs.opp_revealed_captured.total()
+                                    + obs.opp_dark_captured_by_viewer.total())
+                # P(s - t, a - t) > 0: the face-up pieces fit on the squares
+                # the t face-down ones leave
+                assert r_on + b_on <= s
+                reached.add((r_on, r_dark, b_on, b_dark, r_off_dark))
+                if state.status.over:
+                    break
+                moves = legal_moves(state)
+                state, _ = apply_move(state, moves[rng.randrange(len(moves))])
+        # the games reach far more than the opening term
+        assert len(reached) > 1000
 
 
 class TestMonotonicity:

@@ -26,7 +26,7 @@ from jieqi import (
     multiset_arrangements,
     observe,
 )
-from jieqi.board import DARK_CODE, NUM_SQUARES, make_dark_cell
+from jieqi.board import DARK_CELL, DARK_CODE, NUM_SQUARES
 
 
 def _mirror(state):
@@ -44,8 +44,6 @@ def _mirror(state):
         side_to_move=state.side_to_move.opponent,
         captured_by_red=state.captured_by_black,
         captured_by_black=state.captured_by_red,
-        red_king=-1 if state.black_king < 0 else (9 - state.black_king // 9) * 9 + state.black_king % 9,
-        black_king=-1 if state.red_king < 0 else (9 - state.red_king // 9) * 9 + state.red_king % 9,
     )
 
 
@@ -243,9 +241,10 @@ class TestProperties:
             rng = random.Random(seed + 1000)
             while True:
                 for viewer in (Side.RED, Side.BLACK):
-                    own_dark = make_dark_cell(viewer)
-                    own_sq = [sq for sq, c in enumerate(state.board) if c == own_dark]
-                    opp_sq = [sq for sq, c in enumerate(state.board) if c == -own_dark]
+                    own_sq = [sq for sq, c in enumerate(state.board)
+                              if c == DARK_CELL[viewer]]
+                    opp_sq = [sq for sq, c in enumerate(state.board)
+                              if c == DARK_CELL[viewer.opponent]]
                     own_lost = [
                         k for k, dark in state.captures_by(viewer.opponent) if dark
                     ]

@@ -209,6 +209,24 @@ class TestMalformedInputs:
         with pytest.raises(JfenError):
             decode_state(INITIAL_JFEN.replace("/9/X1X1X1X1X/", "/4X4/X1X1X1X1X/", 1))
 
+    @pytest.mark.parametrize("old,new", [
+        ("/9/", "/²/"),                 # str.isdigit() but not int()
+        ("1x5x1", "1x٥x1"),             # another script's 5
+        (" r 0 0 ", " r ² 0 "),
+        (" r 0 0 ", " r 0 ٣ "),
+        (" r 0 0 ", " r 0 " + "1" * 5000 + " "),  # past int()'s digit limit
+    ], ids=["rank-superscript", "rank-arabic-indic", "counter-superscript",
+            "counter-arabic-indic", "counter-5000-digits"])
+    def test_ascii_digits_only(self, old: str, new: str) -> None:
+        with pytest.raises(JfenError, match="letter|counter"):
+            decode_state(INITIAL_JFEN.replace(old, new, 1))
+
+    def test_hidden_square_needs_ascii_rank(self) -> None:
+        text = encode_state(initial_state(0))
+        assert "a9=" in text
+        with pytest.raises(JfenError, match="square"):
+            decode_state(text.replace("a9=", "a٩=", 1))
+
     def test_capture_field_case(self) -> None:
         # captured-by-red holds Black pieces: lowercase required
         with pytest.raises(JfenError, match="captured-by-red"):
@@ -246,7 +264,7 @@ class TestMalformedInputs:
 
 #: Characters a mutation writes: the JFEN alphabet plus a few foreign ones;
 #: the empty string deletes the character instead.
-_MUTATION_CHARS = list("0123456789/ -*=,KGMRHCPXkgmrhcpxabi") + ["", "q", "\t"]
+_MUTATION_CHARS = list("0123456789/ -*=,KGMRHCPXkgmrhcpxabi") + ["", "q", "\t", "²", "٣"]
 
 
 @lru_cache(maxsize=None)

@@ -165,11 +165,11 @@ class TestRunSimulation:
 
     def test_series_checkpoints(self, run250) -> None:
         _, series, _ = run250
-        assert [row.games_completed for row in series.rows] == [100, 200, 250]
+        assert [row.games_completed for row in series] == [100, 200, 250]
 
     def test_final_row_agrees_with_summary(self, run250) -> None:
         summary, series, _ = run250
-        last = series.rows[-1]
+        last = series[-1]
         assert last.games_completed == summary.games
         assert last.cum_avg_branching == summary.mean_branching
         assert last.cum_avg_length == summary.mean_length_plies
@@ -178,7 +178,7 @@ class TestRunSimulation:
 
     def test_short_run_single_row(self) -> None:
         _, series, _ = run_simulation(games=30, master_seed=5, workers=1)
-        assert [row.games_completed for row in series.rows] == [30]
+        assert [row.games_completed for row in series] == [30]
 
     def test_internal_consistency(self, run250) -> None:
         summary, _, _ = run250

@@ -37,3 +37,20 @@ def test_no_private_cross_module_imports() -> None:
                   if isinstance(node, ast.ImportFrom) and node.level > 0
                   for alias in node.names if alias.name.startswith("_")]
     assert found == []
+
+
+def _package_sources() -> dict[str, str]:
+    return {path.name: path.read_text() for path in sorted(PACKAGE_DIR.rglob("*.py"))}
+
+
+def test_dark_code_named_only_in_board() -> None:
+    # board.py owns the cell code; other modules read cells through its
+    # tables instead of decoding magnitudes themselves.
+    found = [name for name, text in _package_sources().items()
+             if "DARK_CODE" in text and name != "board.py"]
+    assert found == []
+
+
+def test_kind_letters_spelled_once() -> None:
+    spellings = {name: text.count("KGMRHCP") for name, text in _package_sources().items()}
+    assert sum(spellings.values()) == 1, spellings
