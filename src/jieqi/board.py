@@ -78,7 +78,8 @@ class PieceKind(IntEnum):
 
     @classmethod
     def from_letter(cls, letter: str) -> PieceKind:
-        idx = _KIND_LETTERS.find(letter.upper())
+        # One letter exactly: str.find also matches "" and prefixes ("KG").
+        idx = _KIND_LETTERS.find(letter.upper()) if len(letter) == 1 else -1
         if idx < 0:
             raise ValueError(f"unknown piece letter {letter!r}")
         return cls(idx)

@@ -60,7 +60,6 @@ from .board import (
     Side,
     in_palace,
     make_cell,
-    parse_square,
     square_name,
 )
 from .combinatorics import START_POOL, KindMultiset
@@ -103,12 +102,6 @@ class Move(NamedTuple):
 
     def text(self) -> str:
         return square_name(self.from_sq) + square_name(self.to_sq)
-
-    @classmethod
-    def from_text(cls, text: str) -> Move:
-        if len(text) != 4:
-            raise ValueError(f"bad move text {text!r}")
-        return cls(parse_square(text[:2]), parse_square(text[2:]))
 
 
 @unique
@@ -286,6 +279,29 @@ def initial_state(seed: int, rules: Rules = STANDARD_RULES) -> GameState:
 # move generation
 # ---------------------------------------------------------------------------
 
+def _move_table() -> tuple[tuple[Move | None, ...], ...]:
+    rows = []
+    for sq in range(NUM_SQUARES):
+        dests = {d for ray in RAYS[sq] for d in ray}
+        dests.update(d for _, d in HORSE_MOVES[sq] + MINISTER_JUMPS[sq])
+        dests.update(GUARD_STEPS[sq])
+        for side in Side:
+            dests.update(KING_STEPS[side][sq] + PAWN_STEPS[side][sq])
+        rows.append(tuple(Move(sq, d) if d in dests else None
+                          for d in range(NUM_SQUARES)))
+    return tuple(rows)
+
+
+#: The one Move object for each (from, to) pair, built once at import:
+#: `_MOVE[from_sq][to_sq]`.  Only the 2,550 pairs some movement table can
+#: produce are filled (the flying-general capture runs along a file, so
+#: RAYS covers it, and classic guard steps are a subset of GUARD_STEPS);
+#: every other entry is None.  The generator appends these shared tuples
+#: in the movement tables' fixed order, so a move list equals, element by
+#: element, one built from fresh `Move(sq, d)` tuples.
+_MOVE = _move_table()
+
+
 def legal_moves(state: GameState) -> list[Move]:
     """All legal moves for the side to move.
 
@@ -300,26 +316,20 @@ def legal_moves(state: GameState) -> list[Move]:
     return _gen_all(state.board, state.side_to_move, state.rules)
 
 
-def _gen_all(board: tuple[int, ...], side: Side, rules: Rules) -> list[Move]:
+def _gen_all(
+    board: tuple[int, ...], side: Side, rules: Rules, first: bool = False
+) -> list[Move]:
+    """The side's moves in board order; with `first`, only those of the
+    first piece that has any (the stalemate probe)."""
     moves: list[Move] = []
     red = side is Side.RED
     for sq, cell in enumerate(board):
         if cell == 0 or (cell > 0) is not red:
             continue
         _gen_piece(board, side, sq, cell, rules, moves)
+        if first and moves:
+            break
     return moves
-
-
-def _any_move(board: tuple[int, ...], side: Side, rules: Rules) -> bool:
-    moves: list[Move] = []
-    red = side is Side.RED
-    for sq, cell in enumerate(board):
-        if cell == 0 or (cell > 0) is not red:
-            continue
-        _gen_piece(board, side, sq, cell, rules, moves)
-        if moves:
-            return True
-    return False
 
 
 def _gen_piece(
@@ -331,6 +341,7 @@ def _gen_piece(
     out: list[Move],
 ) -> None:
     red = cell > 0
+    row = _MOVE[sq]
     kind = CELL_KIND[cell]
     dark = kind is None
     if dark:
@@ -341,10 +352,10 @@ def _gen_piece(
             for d in ray:
                 c = board[d]
                 if c == 0:
-                    out.append(Move(sq, d))
+                    out.append(row[d])
                 else:
                     if (c > 0) is not red:
-                        out.append(Move(sq, d))
+                        out.append(row[d])
                     break
     elif kind is PieceKind.CANNON:
         for ray in RAYS[sq]:
@@ -353,30 +364,30 @@ def _gen_piece(
                 c = board[d]
                 if not screened:
                     if c == 0:
-                        out.append(Move(sq, d))
+                        out.append(row[d])
                     else:
                         screened = True
                 elif c != 0:
                     if (c > 0) is not red:
-                        out.append(Move(sq, d))
+                        out.append(row[d])
                     break
     elif kind is PieceKind.PAWN:
         for d in PAWN_STEPS[side][sq]:
             c = board[d]
             if c == 0 or (c > 0) is not red:
-                out.append(Move(sq, d))
+                out.append(row[d])
     elif kind is PieceKind.HORSE:
         for leg, d in HORSE_MOVES[sq]:
             if board[leg] == 0:
                 c = board[d]
                 if c == 0 or (c > 0) is not red:
-                    out.append(Move(sq, d))
+                    out.append(row[d])
     elif kind is PieceKind.MINISTER:
         for mid, d in MINISTER_JUMPS[sq]:
             if board[mid] == 0:
                 c = board[d]
                 if c == 0 or (c > 0) is not red:
-                    out.append(Move(sq, d))
+                    out.append(row[d])
     elif kind is PieceKind.GUARD:
         if dark and rules.classic_dark_roles:
             steps: Iterable[int] = GUARD_STEPS_CLASSIC[side][sq]
@@ -385,12 +396,12 @@ def _gen_piece(
         for d in steps:
             c = board[d]
             if c == 0 or (c > 0) is not red:
-                out.append(Move(sq, d))
+                out.append(row[d])
     else:  # KING
         for d in KING_STEPS[side][sq]:
             c = board[d]
             if c == 0 or (c > 0) is not red:
-                out.append(Move(sq, d))
+                out.append(row[d])
         # Flying general: with the enemy King exposed on this file, capture
         # it across any distance.
         step = FILES if red else -FILES
@@ -400,7 +411,7 @@ def _gen_piece(
             c = board[d]
             if c != 0:
                 if c == enemy_king:
-                    out.append(Move(sq, d))
+                    out.append(row[d])
                 break
             d += step
 
@@ -433,7 +444,7 @@ def game_status(
         return TerminalStatus.win(winner, WinReason.KING_CAPTURED)
     if plies_since_capture >= rules.draw_plies:
         return DRAW
-    if not _any_move(board, side_to_move, rules):
+    if not _gen_all(board, side_to_move, rules, first=True):
         return TerminalStatus.win(side_to_move.opponent, WinReason.OPPONENT_STALEMATED)
     return ONGOING
 

@@ -9,6 +9,8 @@ board     ten rank fields from rank 9 down to rank 0, joined by '/'.
           squares; K G M R H C P are revealed Red pieces, lowercase for
           Black; 'X' is a face-down Red piece, 'x' face-down Black.
 side      'r' or 'b', the side to move.
+counters  plies-since-capture and ply-count in ASCII decimal, with no
+          leading zero ('0' itself is written as is).
 cap-red   pieces captured by Red (so Black kinds, lowercase), in capture
           order, each letter carrying a '*' suffix if the piece was
           face-down when taken; '-' when empty.  cap-black likewise with
@@ -275,6 +277,9 @@ def _parse_counter(field: str) -> int:
     # rejects, and other scripts' digits, which int() reads.
     if not (field.isascii() and field.isdigit()):
         raise JfenError("counters must be non-negative decimals")
+    if len(field) > 1 and field[0] == "0":
+        # Canonical text only, so that decode -> encode round-trips.
+        raise JfenError(f"counter {field!r} has a leading zero")
     try:
         return int(field)
     except ValueError:  # past int()'s limit on digits
@@ -318,6 +323,9 @@ def decode_state(text: str, rules: Rules = STANDARD_RULES) -> GameState:
     )
     for side in (Side.RED, Side.BLACK):
         _check_material(state, side, hidden_f != "-")
+    if not any(king in state.board for king in KING_CELL):
+        # Play stops at the first King capture.
+        raise JfenError("board: at most one King can be captured")
     return replace(state, status=game_status(
         state.board, side_to_move, plies_since_capture, rules
     ))

@@ -92,4 +92,4 @@ def random_state(seed: int, plies: int, rules: Rules = STANDARD_RULES) -> GameSt
 
 
 def mv(text: str) -> Move:
-    return Move.from_text(text)
+    return Move(parse_square(text[:2]), parse_square(text[2:]))

@@ -5,17 +5,25 @@ from __future__ import annotations
 
 import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from conftest import build_state, mv, random_state
 from naive_rules import naive_legal_moves
 from jieqi import (
+    IllegalMoveError,
+    Move,
     PieceKind,
     Rules,
     Side,
+    WinReason,
+    apply_move,
     initial_state,
     legal_moves,
     parse_square,
     role_of_square,
 )
+from jieqi.engine import game_status
 
 
 def _dests(state, from_name: str) -> set[str]:
@@ -38,6 +46,13 @@ class TestRoleOfSquare:
     def test_thirty_two_initial_squares(self) -> None:
         named = [sq for sq in range(90) if role_of_square(sq) is not None]
         assert len(named) == 32
+
+
+class TestKindLetters:
+    @pytest.mark.parametrize("text", ["", "KG", "gm", "X", "k*"])
+    def test_exactly_one_known_letter(self, text: str) -> None:
+        with pytest.raises(ValueError, match="letter"):
+            PieceKind.from_letter(text)
 
 
 class TestInitialPosition:
@@ -69,6 +84,12 @@ class TestInitialPosition:
         a = legal_moves(initial_state(5))
         b = legal_moves(initial_state(5))
         assert a == b
+
+    def test_returns_a_fresh_list(self) -> None:
+        state = initial_state(5)
+        first = legal_moves(state)
+        first.clear()
+        assert len(legal_moves(state)) == 46
 
     def test_each_side_shuffles_its_own_full_pool(self) -> None:
         from jieqi import KindMultiset, START_POOL
@@ -251,18 +272,21 @@ class TestDarkRoleMovement:
         assert legal_moves(a) == legal_moves(b)
 
 
+def _fully_blocked():
+    # Red to move: King boxed by own pieces that are themselves immobile
+    # (horse legs and minister midpoints blocked by enemy pieces).
+    return build_state(
+        red={"e0": "K", "d0": "H", "f0": "H", "e1": "M"},
+        black={
+            "e8": "K", "c0": "p", "d1": "p", "g0": "p", "f1": "p",
+            "d2": "p", "f2": "r",
+        },
+    )
+
+
 class TestFullyBlockedSide:
     def test_zero_moves(self) -> None:
-        # Red to move: King boxed by own pieces that are themselves immobile
-        # (horse legs and minister midpoints blocked by enemy pieces).
-        state = build_state(
-            red={"e0": "K", "d0": "H", "f0": "H", "e1": "M"},
-            black={
-                "e8": "K", "c0": "p", "d1": "p", "g0": "p", "f1": "p",
-                "d2": "p", "f2": "r",
-            },
-        )
-        assert legal_moves(state) == []
+        assert legal_moves(_fully_blocked()) == []
 
 
 class TestAgainstNaiveGenerator:
@@ -291,3 +315,67 @@ class TestAgainstNaiveGenerator:
             if state.status.over:
                 continue
             assert set(legal_moves(state)) == naive_legal_moves(state), trial
+
+
+def _stalemated(state) -> bool:
+    status = game_status(state.board, state.side_to_move,
+                         state.plies_since_capture, state.rules)
+    return status.reason is WinReason.OPPONENT_STALEMATED
+
+
+_reachable = dict(
+    seed=st.integers(0, 2**32 - 1),
+    plies=st.integers(0, 160),
+    classic=st.booleans(),
+)
+
+
+class TestGeneratorOracle:
+    """Properties of the table-driven generator against the naive one, on
+    states reached by seeded random play."""
+
+    @settings(derandomize=True, deadline=None, max_examples=120)
+    @given(**_reachable)
+    def test_legal_moves_equal_naive(self, seed: int, plies: int, classic: bool) -> None:
+        state = random_state(seed, plies, Rules(classic_dark_roles=classic))
+        if state.status.over:
+            return
+        moves = legal_moves(state)
+        assert len(set(moves)) == len(moves), "duplicate moves generated"
+        assert set(moves) == naive_legal_moves(state)
+
+    @settings(derandomize=True, deadline=None, max_examples=120)
+    @given(**_reachable)
+    def test_stalemate_exactly_when_naive_is_empty(
+        self, seed: int, plies: int, classic: bool
+    ) -> None:
+        state = random_state(seed, plies, Rules(classic_dark_roles=classic))
+        assert _stalemated(state) == (
+            not state.status.over and not naive_legal_moves(state)
+        )
+
+    def test_stalemate_of_fully_blocked_side(self) -> None:
+        state = _fully_blocked()
+        assert naive_legal_moves(state) == set()
+        assert _stalemated(state)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(**_reachable)
+    def test_apply_accepts_a_fresh_equal_move(
+        self, seed: int, plies: int, classic: bool
+    ) -> None:
+        state = random_state(seed, plies, Rules(classic_dark_roles=classic))
+        if state.status.over:
+            return
+        for move in legal_moves(state):
+            fresh = Move(move.from_sq, move.to_sq)
+            assert fresh is not move
+            assert apply_move(state, fresh) == apply_move(state, move)
+
+    @pytest.mark.parametrize("move", [Move(0, 89), Move(0, 90)],
+                             ids=["no-piece-makes-it", "off-board"])
+    def test_apply_rejects_unmakeable_pairs(self, move: Move) -> None:
+        state = initial_state(0)
+        assert state.board[0] > 0  # a Red piece stands on a0
+        with pytest.raises(IllegalMoveError):
+            apply_move(state, move)

@@ -201,6 +201,23 @@ class TestMalformedInputs:
         with pytest.raises(JfenError, match="draw limit"):
             decode_state(INITIAL_JFEN.replace(" r 0 0 ", " r 41 50 ", 1))
 
+    @pytest.mark.parametrize("counters", [" r 007 0 ", " r 00 0 ", " r 0 01 "],
+                             ids=["plies-since-capture", "zero-zero", "ply-count"])
+    def test_counter_leading_zero(self, counters: str) -> None:
+        with pytest.raises(JfenError, match="leading zero"):
+            decode_state(INITIAL_JFEN.replace(" r 0 0 ", counters, 1))
+
+    def test_counters_round_trip(self) -> None:
+        for text in (INITIAL_JFEN, INITIAL_JFEN.replace(" r 0 0 ", " r 7 10 ", 1)):
+            assert encode_state(decode_state(text), include_hidden=False) == text
+
+    def test_both_kings_captured(self) -> None:
+        # Play stops at the first King capture, so no game reaches this.
+        text = ("xxxx1xxxx/9/1x5x1/x1x1x1x1x/9/9/X1X1X1X1X/1X5X1/9/XXXX1XXXX"
+                " r 0 0 k K -")
+        with pytest.raises(JfenError, match="King"):
+            decode_state(text)
+
     def test_conservation_violations(self) -> None:
         # a second red King
         with pytest.raises(JfenError, match="King"):

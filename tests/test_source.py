@@ -54,3 +54,16 @@ def test_dark_code_named_only_in_board() -> None:
 def test_kind_letters_spelled_once() -> None:
     spellings = {name: text.count("KGMRHCP") for name, text in _package_sources().items()}
     assert sum(spellings.values()) == 1, spellings
+
+
+def test_generator_builds_no_moves() -> None:
+    # The generator appends the Move objects interned in engine._MOVE;
+    # building a fresh one per generated move is the cost the table removes.
+    tree = ast.parse((PACKAGE_DIR / "engine.py").read_text())
+    generators = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                  and node.name in ("_gen_piece", "_gen_all")]
+    assert len(generators) == 2
+    found = [f"{fn.name}:{node.lineno}" for fn in generators for node in ast.walk(fn)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "Move"]
+    assert found == []
