@@ -13,7 +13,7 @@ The package has three layers:
     game-tree-complexity bound, with byte-stable CSV/JSON output.
 """
 
-from .board import PieceKind, Side, parse_square, role_of_square, square, square_name
+from .board import PieceKind, Side, parse_square, square, square_name
 from .combinatorics import (
     KindMultiset,
     START_POOL,
@@ -27,7 +27,6 @@ from .engine import (
     IllegalMoveError,
     MissingHiddenInfoError,
     Move,
-    Piece,
     Rules,
     STANDARD_RULES,
     WinReason,
@@ -35,7 +34,6 @@ from .engine import (
     initial_state,
     legal_moves,
     observe,
-    perft,
 )
 from .enumeration import (
     CountParams,
@@ -71,7 +69,6 @@ __all__ = [
     "KindMultiset",
     "MissingHiddenInfoError",
     "Move",
-    "Piece",
     "PieceKind",
     "Rules",
     "STANDARD_PARAMS",
@@ -97,9 +94,7 @@ __all__ = [
     "multiset_arrangements",
     "observe",
     "parse_square",
-    "perft",
     "play_random_game",
-    "role_of_square",
     "run_simulation",
     "square",
     "square_name",

@@ -306,10 +306,3 @@ def _pawn_steps(side: Side) -> tuple[tuple[int, ...], ...]:
 # Pawn steps by current square: forward always, sideways once across the
 # river, never backward.
 PAWN_STEPS = {Side.RED: _pawn_steps(Side.RED), Side.BLACK: _pawn_steps(Side.BLACK)}
-
-
-def role_of_square(sq: int) -> PieceKind | None:
-    """Starting-layout kind governing a face-down piece on this square."""
-    if not 0 <= sq < NUM_SQUARES:
-        raise ValueError(f"square index off board: {sq}")
-    return ROLE_OF_SQUARE[sq]

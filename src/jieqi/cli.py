@@ -96,10 +96,11 @@ def _cmd_simulate(parser: _Parser, args: argparse.Namespace) -> int:
         parser.error("--games must be >= 1")
     if args.workers < 1:
         parser.error("--workers must be >= 1")
-    if args.draw_plies < 1:
-        parser.error("--draw-plies must be >= 1")
-    rules = Rules(draw_plies=args.draw_plies,
-                  classic_dark_roles=args.classic_dark_roles)
+    try:
+        rules = Rules(draw_plies=args.draw_plies,
+                      classic_dark_roles=args.classic_dark_roles)
+    except ValueError as exc:
+        parser.error(str(exc))
     out = Path(args.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)

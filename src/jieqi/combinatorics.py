@@ -52,25 +52,6 @@ class KindMultiset:
     def total(self) -> int:
         return sum(self.counts)
 
-    def count(self, kind: PieceKind) -> int:
-        return self.counts[KIND_INDEX[kind]]
-
-    def add(self, kind: PieceKind, n: int = 1) -> KindMultiset:
-        i = KIND_INDEX[kind]
-        return KindMultiset(self.counts[:i] + (self.counts[i] + n,) + self.counts[i + 1:])
-
-    def remove(self, kind: PieceKind, n: int = 1) -> KindMultiset:
-        i = KIND_INDEX[kind]
-        if self.counts[i] < n:
-            raise ValueError(f"cannot remove {n} x {kind.name} from {self}")
-        return KindMultiset(self.counts[:i] + (self.counts[i] - n,) + self.counts[i + 1:])
-
-    def __sub__(self, other: KindMultiset) -> KindMultiset:
-        out = tuple(a - b for a, b in zip(self.counts, other.counts))
-        if min(out) < 0:
-            raise ValueError(f"multiset subtraction went negative: {self} - {other}")
-        return KindMultiset(out)
-
     def items(self) -> list[tuple[PieceKind, int]]:
         return [(k, c) for k, c in zip(NON_KING_KINDS, self.counts) if c > 0]
 

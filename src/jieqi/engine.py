@@ -89,6 +89,10 @@ class Rules:
     draw_plies: int = 40
     classic_dark_roles: bool = False
 
+    def __post_init__(self) -> None:
+        if self.draw_plies < 1:
+            raise ValueError(f"draw_plies must be >= 1, got {self.draw_plies}")
+
     def flags(self) -> dict[str, bool]:
         return {"classic_dark_roles": self.classic_dark_roles}
 
@@ -117,14 +121,6 @@ class TerminalStatus:
     winner: Side | None = None
     reason: WinReason | None = None
 
-    @property
-    def is_ongoing(self) -> bool:
-        return not self.over
-
-    @property
-    def is_draw(self) -> bool:
-        return self.over and self.winner is None
-
     @classmethod
     def win(cls, side: Side, reason: WinReason) -> TerminalStatus:
         return cls(True, side, reason)
@@ -149,26 +145,13 @@ class Capture(NamedTuple):
     was_dark: bool          # face of the piece at the moment it was taken
 
 
-class CapturedInfo(NamedTuple):
-    side: Side              # owner of the captured piece
-    kind: PieceKind
-    was_dark: bool
-
-
-class Piece(NamedTuple):
-    """Decoded view of one occupied square (kind is None for a face-down
-    piece whose identity the state does not carry)."""
-
-    side: Side
-    kind: PieceKind | None
-    dark: bool
-
-
 @dataclass(frozen=True)
 class MoveOutcome:
+    """What a move did: the kind it revealed, and the entry it appended to
+    the mover's capture list (the victim is always the mover's opponent)."""
+
     revealed: PieceKind | None
-    captured: CapturedInfo | None
-    game_ended: TerminalStatus
+    captured: Capture | None
 
 
 @dataclass(frozen=True)
@@ -192,16 +175,6 @@ class GameState:
     captured_by_black: tuple[Capture, ...]
     status: TerminalStatus
     rules: Rules
-
-    def piece_at(self, sq: int) -> Piece | None:
-        cell = self.board[sq]
-        if cell == 0:
-            return None
-        side = Side.RED if cell > 0 else Side.BLACK
-        kind = CELL_KIND[cell]
-        if kind is None:
-            return Piece(side, self.hidden.get(sq), True)
-        return Piece(side, kind, False)
 
     def captures_by(self, side: Side) -> tuple[Capture, ...]:
         return self.captured_by_red if side is Side.RED else self.captured_by_black
@@ -490,25 +463,21 @@ def apply_move(state: GameState, move: Move) -> tuple[GameState, MoveOutcome]:
         board[move.to_sq] = from_cell
     board[move.from_sq] = 0
 
-    captured: CapturedInfo | None = None
+    captured: Capture | None = None
+    captured_by_red = state.captured_by_red
+    captured_by_black = state.captured_by_black
     if to_cell != 0:
-        victim = mover.opponent
         cap_kind = CELL_KIND[to_cell]
         cap_dark = cap_kind is None
         if cap_dark:
             cap_kind = hidden.pop(move.to_sq, None)
             if cap_kind is None:
-                raise _missing_identity(victim, move.to_sq)
-        captured = CapturedInfo(victim, cap_kind, cap_dark)
-
-    captured_by_red = state.captured_by_red
-    captured_by_black = state.captured_by_black
-    if captured is not None:
-        entry = Capture(captured.kind, captured.was_dark)
+                raise _missing_identity(mover.opponent, move.to_sq)
+        captured = Capture(cap_kind, cap_dark)
         if mover is Side.RED:
-            captured_by_red = captured_by_red + (entry,)
+            captured_by_red = captured_by_red + (captured,)
         else:
-            captured_by_black = captured_by_black + (entry,)
+            captured_by_black = captured_by_black + (captured,)
         plies_since_capture = 0
     else:
         plies_since_capture = state.plies_since_capture + 1
@@ -528,7 +497,7 @@ def apply_move(state: GameState, move: Move) -> tuple[GameState, MoveOutcome]:
         status=status,
         rules=state.rules,
     )
-    return new_state, MoveOutcome(revealed, captured, status)
+    return new_state, MoveOutcome(revealed, captured)
 
 
 def _missing_identity(side: Side, sq: int) -> MissingHiddenInfoError:
@@ -596,7 +565,3 @@ def perft_counts(state: GameState, max_depth: int) -> list[int]:
     if not state.status.over:
         walk(state, 0)
     return counts[1:]
-
-
-def perft(state: GameState, depth: int) -> int:
-    return perft_counts(state, depth)[-1]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from multiprocessing import Pool
 from pathlib import Path
 from typing import NamedTuple
@@ -258,13 +258,7 @@ def write_summary_json(
     rules: Rules,
 ) -> None:
     payload = {
-        "games": summary.games,
-        "mean_branching": summary.mean_branching,
-        "mean_length_plies": summary.mean_length_plies,
-        "mean_log10_infoset": summary.mean_log10_infoset,
-        "log10_mean_infoset": summary.log10_mean_infoset,
-        "log10_gtc": summary.log10_gtc,
-        "result_breakdown": summary.result_breakdown,
+        **asdict(summary),
         "master_seed": master_seed,
         "draw_plies": rules.draw_plies,
         "rules_flags": rules.flags(),

@@ -6,6 +6,7 @@ import random
 
 from jieqi import (
     GameState,
+    KindMultiset,
     Move,
     PieceKind,
     Rules,
@@ -60,9 +61,8 @@ def build_state(
             entries.append(Capture(PieceKind.KING, False))
         for kind in on_board[side]:
             if kind is not PieceKind.KING:
-                pool = pool.remove(kind)
-        for kind, count in pool.items():
-            entries.extend([Capture(kind, False)] * count)
+                pool = without(pool, kind)
+        entries.extend(Capture(kind, False) for kind in pool.expand())
         return tuple(entries)
 
     return GameState(
@@ -76,6 +76,13 @@ def build_state(
         status=ONGOING,
         rules=rules,
     )
+
+
+def without(pool: KindMultiset, kind: PieceKind) -> KindMultiset:
+    """`pool` less one `kind` (ValueError if it holds none)."""
+    kinds = pool.expand()
+    kinds.remove(kind)
+    return KindMultiset.from_kinds(kinds)
 
 
 def random_state(seed: int, plies: int, rules: Rules = STANDARD_RULES) -> GameState:

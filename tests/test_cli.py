@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from jieqi import encode_state, initial_state
 from jieqi.cli import run_cli
@@ -33,6 +36,12 @@ class TestExitCodes:
         code, _, err = run(capsys, "simulate", "--games", "0", "--out-dir", "x")
         assert code == 1
         assert "games" in err
+
+    def test_draw_plies_below_one_is_one(self, capsys, tmp_path) -> None:
+        code, _, err = run(capsys, "simulate", "--games", "1", "--draw-plies", "0",
+                           "--out-dir", str(tmp_path))
+        assert code == 1
+        assert "draw" in err
 
     def test_unknown_command_is_one(self, capsys) -> None:
         code, _, _ = run(capsys, "no-such-command")
@@ -266,3 +275,83 @@ class TestSimulate:
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in GOLDEN_SHA256}
         assert digests == GOLDEN_SHA256
+
+
+#: Characters an edit of a state text writes: the JFEN alphabet plus a few
+#: foreign ones.
+_EDIT_CHARS = list("0123456789/ -KGMRHCPXkgmrhcpx") + ["q", "\t", "²"]
+_JUNK = st.sampled_from(["", "x", "-", "1.5", "--", "-h"])
+
+
+@st.composite
+def _int_arg(draw, lo: int, hi: int) -> str:
+    """An integer in [lo, hi] as text, or one time in eight a non-integer."""
+    if draw(st.integers(0, 7)) == 0:
+        return draw(_JUNK)
+    return str(draw(st.integers(lo, hi)))
+
+
+@st.composite
+def _state_text(draw, bases: list[str]) -> str:
+    """One of `bases` as is or after one or two single-character
+    replacements, insertions or deletions."""
+    text = draw(st.sampled_from(bases))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(text)))
+        ch = draw(st.sampled_from(_EDIT_CHARS))
+        op = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if op == "insert":
+            text = text[:i] + ch + text[i:]
+        else:
+            text = text[:i] + (ch if op == "replace" else "") + text[i + 1:]
+    return text
+
+
+@st.composite
+def _argv(draw, out_dir: str) -> list[str]:
+    """One subcommand with random flag values, bounded so that no example
+    starts a process pool or runs long."""
+
+    def optional(*args: str) -> list[str]:
+        return list(args) if draw(st.booleans()) else []
+
+    command = draw(st.sampled_from(
+        ["simulate", "count-infosets", "infoset-size", "compare", "perft"]))
+    if command == "simulate":
+        argv = ["simulate", "--workers", "1", "--out-dir", out_dir,
+                "--games", draw(_int_arg(-1, 2))]
+        argv += optional("--seed", draw(_int_arg(-2 ** 70, 2 ** 70)))
+        argv += optional("--draw-plies", draw(_int_arg(-2, 60)))
+        argv += optional("--classic-dark-roles")
+    elif command == "count-infosets":
+        argv = ["count-infosets", "--pieces-per-side", draw(_int_arg(-1, 4)),
+                "--board-squares", draw(_int_arg(-1, 12)),
+                "--dark-squares-per-side", draw(_int_arg(-1, 5))]
+        argv += optional("--format", draw(st.sampled_from(["text", "json", "xml"])))
+    elif command == "infoset-size":
+        argv = ["infoset-size", "--state", draw(_state_text([INITIAL_JFEN, SEED42_JFEN]))]
+        argv += optional("--viewer", draw(st.sampled_from(["red", "black", "blue"])))
+    elif command == "compare":
+        argv = ["compare"]
+        argv += optional("--format", draw(st.sampled_from(["csv", "md", "json", "txt"])))
+        argv += optional("--measured", draw(st.sampled_from(
+            [f"{out_dir}/summary.json", f"{out_dir}/games.csv", out_dir, "no-such.json"])))
+    else:
+        # SEED42_JFEN carries the hidden section perft needs
+        argv = ["perft", "--state", draw(_state_text([SEED42_JFEN])),
+                "--depth", draw(st.sampled_from(["-1", "0", "1", "2", "5", "99", "x"]))]
+    if draw(st.integers(0, 7)) == 0:
+        argv.append(draw(st.sampled_from(["--games", "extra", "-q"])))
+    return argv
+
+
+class TestRunCliExitCodes:
+    @settings(derandomize=True, deadline=None, max_examples=300,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_exit_code_is_zero_one_or_two(self, tmp_path, data) -> None:
+        argv = data.draw(_argv(str(tmp_path)))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = run_cli(argv)
+        assert code in (0, 1, 2), argv

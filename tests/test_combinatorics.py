@@ -14,7 +14,7 @@ from jieqi import (
     exact_log10,
     multiset_arrangements,
 )
-from jieqi.board import NON_KING_KINDS, PieceKind
+from jieqi.board import KIND_INDEX, NON_KING_KINDS, PieceKind
 
 
 class TestBinomial:
@@ -53,17 +53,17 @@ class TestExactLog10:
 class TestKindMultiset:
     def test_start_pool(self) -> None:
         assert START_POOL.total() == 15
-        assert START_POOL.count(PieceKind.PAWN) == 5
-        assert START_POOL.count(PieceKind.ROOK) == 2
+        assert START_POOL.counts[KIND_INDEX[PieceKind.PAWN]] == 5
+        assert START_POOL.counts[KIND_INDEX[PieceKind.ROOK]] == 2
 
-    def test_remove_below_zero_rejected(self) -> None:
+    @pytest.mark.parametrize("counts", [
+        (0, 0, 0, -1, 0, 0),
+        (2, 2, 2, 2, 2),
+        (2, 2, 2, 2, 2, 5, 0),
+    ])
+    def test_constructor_rejects_bad_counts(self, counts) -> None:
         with pytest.raises(ValueError):
-            KindMultiset().remove(PieceKind.PAWN)
-
-    def test_subtraction_below_zero_rejected(self) -> None:
-        one_rook = KindMultiset.from_kinds([PieceKind.ROOK])
-        with pytest.raises(ValueError):
-            _ = one_rook - KindMultiset.from_kinds([PieceKind.ROOK, PieceKind.ROOK])
+            KindMultiset(counts)
 
     def test_expand_round_trip(self) -> None:
         assert KindMultiset.from_kinds(START_POOL.expand()) == START_POOL

@@ -22,7 +22,7 @@ from jieqi import (
     observe,
     parse_square,
 )
-from jieqi.board import DARK_CODE, DARK_HOME, square_name
+from jieqi.board import DARK_CODE, DARK_HOME, make_cell, square_name
 
 
 def swap_hidden(state, sq_name: str, kind: PieceKind):
@@ -55,12 +55,10 @@ class TestApplyMove:
         state = swap_hidden(initial_state(0), "b2", PieceKind.PAWN)
         nxt, outcome = apply_move(state, mv("b2b9"))
         assert outcome.revealed is PieceKind.PAWN
-        assert nxt.piece_at(parse_square("b9")).kind is PieceKind.PAWN
-        assert not nxt.piece_at(parse_square("b9")).dark
+        assert nxt.board[parse_square("b9")] == make_cell(Side.RED, PieceKind.PAWN)
         # the captured black piece was face-down: Red saw it, Black did not
-        assert outcome.captured.side is Side.BLACK
+        assert nxt.captured_by_red == (outcome.captured,)
         assert outcome.captured.was_dark
-        assert len(nxt.captured_by_red) == 1
         red_view = observe(nxt, Side.RED)
         assert red_view.opp_dark_captured_by_viewer.total() == 1
         black_view = observe(nxt, Side.BLACK)
@@ -72,7 +70,7 @@ class TestApplyMove:
         nxt, outcome = apply_move(state, mv("e4f4"))
         assert outcome.revealed is None
         assert outcome.captured is None
-        assert nxt.piece_at(parse_square("f4")).kind is PieceKind.ROOK
+        assert nxt.board[parse_square("f4")] == make_cell(Side.RED, PieceKind.ROOK)
 
     def test_counters_and_side(self) -> None:
         state = initial_state(1)
@@ -114,7 +112,7 @@ class TestApplyMove:
 class TestTermination:
     def test_initial_state_is_ongoing(self) -> None:
         status = initial_state(0).status
-        assert status.is_ongoing
+        assert not status.over
         assert status.label() == "ongoing"
 
     def test_king_capture_wins(self) -> None:
@@ -130,7 +128,6 @@ class TestTermination:
         assert final.status.winner is Side.RED
         assert final.status.reason is WinReason.KING_CAPTURED
         assert final.status.label() == "win_red_king_captured"
-        assert outcome.game_ended is final.status
 
     def test_meet_marshals_exposure_then_flying_capture(self) -> None:
         # Red's rook sits between the kings; moving it away exposes Red's
@@ -148,8 +145,7 @@ class TestTermination:
         assert final.status.label() == "win_black_meet_marshals"
         assert outcome.captured.kind is PieceKind.KING
         # the flyer now stands on the captured King's square
-        assert final.piece_at(parse_square("e0")).kind is PieceKind.KING
-        assert final.piece_at(parse_square("e0")).side is Side.BLACK
+        assert final.board[parse_square("e0")] == make_cell(Side.BLACK, PieceKind.KING)
 
     def test_ordinary_king_capture_is_not_marshals(self) -> None:
         state = build_state(red={"e0": "K", "e4": "R"}, black={"e8": "K"})
@@ -161,10 +157,8 @@ class TestTermination:
             red={"e0": "K", "a0": "R"}, black={"e8": "K", "i9": "r"},
             plies_since_capture=39, ply_count=100,
         )
-        final, outcome = apply_move(state, mv("a0a1"))
-        assert final.status.is_draw
+        final, _ = apply_move(state, mv("a0a1"))
         assert final.status.label() == "draw"
-        assert outcome.game_ended.is_draw
         # a capture on the 40th ply avoids the draw
         cap_state = build_state(
             red={"e0": "K", "a0": "R", "a5": "P"},
@@ -183,7 +177,13 @@ class TestTermination:
             plies_since_capture=9, rules=Rules(draw_plies=10),
         )
         final, _ = apply_move(state, mv("a0a1"))
-        assert final.status.is_draw
+        assert final.status.label() == "draw"
+
+    def test_draw_window_below_one_rejected(self) -> None:
+        from jieqi import Rules
+        for draw_plies in (0, -1):
+            with pytest.raises(ValueError, match="draw_plies"):
+                Rules(draw_plies=draw_plies)
 
     def test_stalemate_loses(self) -> None:
         # Black makes a quiet move leaving Red with no legal reply.
@@ -238,12 +238,12 @@ class TestObservation:
         nxt, _ = apply_move(state, mv("a4a6"))
         red_view = observe(nxt, Side.RED)
         black_view = observe(nxt, Side.BLACK)
-        assert red_view.opp_revealed_captured == \
-            red_before.opp_revealed_captured.add(PieceKind.ROOK)
+        assert red_view.opp_revealed_captured == KindMultiset.from_kinds(
+            red_before.opp_revealed_captured.expand() + [PieceKind.ROOK])
         assert red_view.opp_dark_captured_by_viewer == \
             red_before.opp_dark_captured_by_viewer
-        assert black_view.own_revealed_captured_by_opp == \
-            black_before.own_revealed_captured_by_opp.add(PieceKind.ROOK)
+        assert black_view.own_revealed_captured_by_opp == KindMultiset.from_kinds(
+            black_before.own_revealed_captured_by_opp.expand() + [PieceKind.ROOK])
         assert black_view.own_dark_lost_count == black_before.own_dark_lost_count
 
 
@@ -282,10 +282,8 @@ class TestDeterminismAndConservation:
                         k for k, _ in state.captures_by(side.opponent)
                         if k is not PieceKind.KING
                     ]
-                    total = board_multiset(state, side)
-                    for kind in captured:
-                        total = total.add(kind)
-                    assert total == START_POOL, f"seed {seed}"
+                    total = board_multiset(state, side).expand() + captured
+                    assert KindMultiset.from_kinds(total) == START_POOL, f"seed {seed}"
                 for sq, cell in enumerate(state.board):
                     if abs(cell) == DARK_CODE:
                         side = Side.RED if cell > 0 else Side.BLACK

@@ -21,8 +21,8 @@ from jieqi import (
     initial_state,
     legal_moves,
     parse_square,
-    role_of_square,
 )
+from jieqi.board import ROLE_OF_SQUARE
 from jieqi.engine import game_status
 
 
@@ -34,17 +34,17 @@ def _dests(state, from_name: str) -> set[str]:
 
 class TestRoleOfSquare:
     def test_layout(self) -> None:
-        assert role_of_square(parse_square("b2")) is PieceKind.CANNON
-        assert role_of_square(parse_square("a3")) is PieceKind.PAWN
-        assert role_of_square(parse_square("e4")) is None
-        assert role_of_square(parse_square("e0")) is PieceKind.KING
-        assert role_of_square(parse_square("e9")) is PieceKind.KING
-        assert role_of_square(parse_square("c9")) is PieceKind.MINISTER
-        assert role_of_square(parse_square("h7")) is PieceKind.CANNON
-        assert role_of_square(parse_square("i6")) is PieceKind.PAWN
+        assert ROLE_OF_SQUARE[parse_square("b2")] is PieceKind.CANNON
+        assert ROLE_OF_SQUARE[parse_square("a3")] is PieceKind.PAWN
+        assert ROLE_OF_SQUARE[parse_square("e4")] is None
+        assert ROLE_OF_SQUARE[parse_square("e0")] is PieceKind.KING
+        assert ROLE_OF_SQUARE[parse_square("e9")] is PieceKind.KING
+        assert ROLE_OF_SQUARE[parse_square("c9")] is PieceKind.MINISTER
+        assert ROLE_OF_SQUARE[parse_square("h7")] is PieceKind.CANNON
+        assert ROLE_OF_SQUARE[parse_square("i6")] is PieceKind.PAWN
 
     def test_thirty_two_initial_squares(self) -> None:
-        named = [sq for sq in range(90) if role_of_square(sq) is not None]
+        named = [sq for sq in range(90) if ROLE_OF_SQUARE[sq] is not None]
         assert len(named) == 32
 
 

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import build_state
+from conftest import build_state, without
 from jieqi import (
     HiddenPools,
     KindMultiset,
@@ -97,7 +97,7 @@ class TestHiddenPools:
         # the full pool minus exactly that kind
         red_pools = hidden_pools(observe(nxt, Side.RED))
         assert red_pools.opp_slots == 14
-        assert red_pools.opp_pool == START_POOL.remove(outcome.captured.kind)
+        assert red_pools.opp_pool == without(START_POOL, outcome.captured.kind)
         # Red revealed its own b2 piece by moving it
         assert red_pools.own_pool.total() == 14
 
@@ -216,7 +216,7 @@ class TestProperties:
             k = rng.randrange(1, pool.total() + 1)
             base = multiset_arrangements(pool, k)
             for kind, _count in pool.items():
-                smaller = multiset_arrangements(pool.remove(kind), k - 1)
+                smaller = multiset_arrangements(without(pool, kind), k - 1)
                 assert smaller <= base
 
     def test_reveal_shrinks_real_states(self) -> None:

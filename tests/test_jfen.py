@@ -150,7 +150,7 @@ class TestStatusDerivation:
                             black={"e8": "K", "i9": "r"},
                             plies_since_capture=39, ply_count=77)
         final, _ = apply_move(state, mv("a0a1"))
-        assert decode_state(encode_state(final)).status.is_draw
+        assert decode_state(encode_state(final)).status.label() == "draw"
 
     def test_stalemate_detected(self) -> None:
         # directly built states stay Ongoing; decode re-derives the status

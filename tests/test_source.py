@@ -67,3 +67,52 @@ def test_generator_builds_no_moves() -> None:
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id == "Move"]
     assert found == []
+
+
+#: Reference oracles: tests check the fast paths against them, and no
+#: program path calls them.
+_ORACLES = {"infoset_size_bruteforce", "count_information_sets_bruteforce"}
+
+
+def _public_definitions(tree: ast.Module) -> list[tuple[str, int]]:
+    """(qualified name, line) of each public top-level function and class,
+    and of each public method of a public top-level class."""
+    found = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        found.append((node.name, node.lineno))
+        if isinstance(node, ast.ClassDef):
+            found += [(f"{node.name}.{item.name}", item.lineno) for item in node.body
+                      if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+    return found
+
+
+def _referenced_names(path: Path, tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_public_names_have_a_program_caller() -> None:
+    # A public name that only the tests call is API the program does not
+    # need.  The match is by bare name, so a name that some unrelated call
+    # also spells (`add`, `count`) passes: this guards against new
+    # test-only API, it does not prove that everything it passes is used.
+    program = sorted(PACKAGE_DIR.glob("*.py"))
+    program += sorted((PACKAGE_DIR.parent.parent / "perfbench").glob("*.py"))
+    referenced: set[str] = set()
+    for path in program:
+        referenced |= _referenced_names(path, ast.parse(path.read_text(), filename=str(path)))
+    unused = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        unused += [f"{path.name}:{line} {name}" for name, line in _public_definitions(tree)
+                   if name.rsplit(".", 1)[-1] not in referenced | _ORACLES]
+    assert unused == []
