@@ -1,0 +1,3 @@
+from jieqi.cli import main
+if __name__ == "__main__":
+    main()

@@ -41,7 +41,6 @@ from .board import (
     BLACK_KING_START,
     CELL_KIND,
     DARK_CELL,
-    FILES,
     GUARD_STEPS,
     GUARD_STEPS_CLASSIC,
     HORSE_MOVES,
@@ -252,27 +251,62 @@ def initial_state(seed: int, rules: Rules = STANDARD_RULES) -> GameState:
 # move generation
 # ---------------------------------------------------------------------------
 
-def _move_table() -> tuple[tuple[Move | None, ...], ...]:
-    rows = []
-    for sq in range(NUM_SQUARES):
-        dests = {d for ray in RAYS[sq] for d in ray}
-        dests.update(d for _, d in HORSE_MOVES[sq] + MINISTER_JUMPS[sq])
-        dests.update(GUARD_STEPS[sq])
-        for side in Side:
-            dests.update(KING_STEPS[side][sq] + PAWN_STEPS[side][sq])
-        rows.append(tuple(Move(sq, d) if d in dests else None
-                          for d in range(NUM_SQUARES)))
-    return tuple(rows)
+# Plan tags: how `_gen_piece` reads a plan's targets.
+_STEP, _LEG, _ROOK, _CANNON, _KING = range(5)
 
 
-#: The one Move object for each (from, to) pair, built once at import:
-#: `_MOVE[from_sq][to_sq]`.  Only the 2,550 pairs some movement table can
-#: produce are filled (the flying-general capture runs along a file, so
-#: RAYS covers it, and classic guard steps are a subset of GUARD_STEPS);
-#: every other entry is None.  The generator appends these shared tuples
-#: in the movement tables' fixed order, so a move list equals, element by
-#: element, one built from fresh `Move(sq, d)` tuples.
-_MOVE = _move_table()
+def _plan_table() -> tuple[dict[int, tuple[tuple, ...]], ...]:
+    """`_PLANS[classic_dark_roles][cell][sq]` is the (tag, targets) plan of
+    cell code `cell` on `sq`, with targets in the movement tables' order.
+    step: (dest, move) pairs; leg: (leg, dest, move) triples; rook, cannon:
+    the four RAYS of (dest, move) pairs; King: (its steps, the file ray
+    ahead, the enemy King's cell).  A face-down cell moves by its square's
+    role.  To keep the table small, each (dest, move) pair is one object
+    (2,550 in all) and plans are shared wherever pieces move alike.
+    """
+    squares = range(NUM_SQUARES)
+    interned: list[tuple[int, Move] | None] = [None] * (NUM_SQUARES * NUM_SQUARES)
+
+    def target(sq: int, d: int) -> tuple[int, Move]:
+        i = sq * NUM_SQUARES + d
+        if interned[i] is None:
+            interned[i] = (d, Move(sq, d))
+        return interned[i]
+
+    def targets(sq: int, dests: Iterable[int]) -> tuple[tuple[int, Move], ...]:
+        return tuple([target(sq, d) for d in dests])
+
+    def steps(table: tuple[tuple[int, ...], ...]) -> tuple[tuple, ...]:
+        return tuple([(_STEP, targets(sq, table[sq])) for sq in squares])
+
+    def jumps(table: tuple[tuple[tuple[int, int], ...], ...]) -> tuple[tuple, ...]:
+        return tuple([(_LEG, tuple([(leg, d, target(sq, d)[1]) for leg, d in table[sq]]))
+                      for sq in squares])
+
+    rays = [tuple([targets(sq, ray) for ray in RAYS[sq]]) for sq in squares]
+    side_free = {
+        PieceKind.ROOK: tuple([(_ROOK, rays[sq]) for sq in squares]),
+        PieceKind.CANNON: tuple([(_CANNON, rays[sq]) for sq in squares]),
+        PieceKind.HORSE: jumps(HORSE_MOVES),
+        PieceKind.MINISTER: jumps(MINISTER_JUMPS),
+        PieceKind.GUARD: steps(GUARD_STEPS),
+    }
+    relaxed, classic = {}, {}
+    for side in Side:
+        ahead = 0 if side is Side.RED else 2        # the north or south ray
+        kings = [(_KING, (plan[1], rays[sq][ahead], KING_CELL[side.opponent]))
+                 for sq, plan in enumerate(steps(KING_STEPS[side]))]
+        by_kind = {**side_free, PieceKind.PAWN: steps(PAWN_STEPS[side]),
+                   PieceKind.KING: tuple(kings)}
+        relaxed.update({make_cell(side, kind): plans for kind, plans in by_kind.items()})
+        palace = {**by_kind, PieceKind.GUARD: steps(GUARD_STEPS_CLASSIC[side])}
+        for rows, plans in ((relaxed, by_kind), (classic, palace)):
+            rows[DARK_CELL[side]] = tuple([(_STEP, ()) if role is None else plans[role][sq]
+                                           for sq, role in enumerate(ROLE_OF_SQUARE)])
+    return relaxed, {**relaxed, **classic}
+
+
+_PLANS = _plan_table()
 
 
 def legal_moves(state: GameState) -> list[Move]:
@@ -295,98 +329,61 @@ def _gen_all(
     """The side's moves in board order; with `first`, only those of the
     first piece that has any (the stalemate probe)."""
     moves: list[Move] = []
-    red = side is Side.RED
+    sign = 1 if side is Side.RED else -1
+    plans = _PLANS[rules.classic_dark_roles]
     for sq, cell in enumerate(board):
-        if cell == 0 or (cell > 0) is not red:
-            continue
-        _gen_piece(board, side, sq, cell, rules, moves)
-        if first and moves:
-            break
+        if cell * sign > 0:
+            _gen_piece(board, sign, plans[cell][sq], moves)
+            if first and moves:
+                break
     return moves
 
 
-def _gen_piece(
-    board: tuple[int, ...],
-    side: Side,
-    sq: int,
-    cell: int,
-    rules: Rules,
-    out: list[Move],
-) -> None:
-    red = cell > 0
-    row = _MOVE[sq]
-    kind = CELL_KIND[cell]
-    dark = kind is None
-    if dark:
-        kind = ROLE_OF_SQUARE[sq]
-
-    if kind is PieceKind.ROOK:
-        for ray in RAYS[sq]:
-            for d in ray:
+def _gen_piece(board: tuple[int, ...], sign: int, plan: tuple, out: list[Move]) -> None:
+    """Append a piece's moves.  `sign` is +1 for Red and -1 for Black, so a
+    square `d` is open to the piece when `board[d] * sign <= 0`."""
+    tag, targets = plan
+    if tag == _STEP:
+        for d, m in targets:
+            if board[d] * sign <= 0:
+                out.append(m)
+    elif tag == _LEG:
+        for leg, d, m in targets:
+            if board[leg] == 0 and board[d] * sign <= 0:
+                out.append(m)
+    elif tag == _ROOK:
+        for ray in targets:
+            for d, m in ray:
                 c = board[d]
-                if c == 0:
-                    out.append(row[d])
-                else:
-                    if (c > 0) is not red:
-                        out.append(row[d])
+                if c:
+                    if c * sign < 0:
+                        out.append(m)
                     break
-    elif kind is PieceKind.CANNON:
-        for ray in RAYS[sq]:
-            screened = False
-            for d in ray:
-                c = board[d]
-                if not screened:
-                    if c == 0:
-                        out.append(row[d])
-                    else:
-                        screened = True
-                elif c != 0:
-                    if (c > 0) is not red:
-                        out.append(row[d])
+                out.append(m)
+    elif tag == _CANNON:
+        for ray in targets:
+            squares = iter(ray)
+            for d, m in squares:    # slides up to the screen
+                if board[d]:
                     break
-    elif kind is PieceKind.PAWN:
-        for d in PAWN_STEPS[side][sq]:
-            c = board[d]
-            if c == 0 or (c > 0) is not red:
-                out.append(row[d])
-    elif kind is PieceKind.HORSE:
-        for leg, d in HORSE_MOVES[sq]:
-            if board[leg] == 0:
+                out.append(m)
+            for d, m in squares:    # the first piece beyond it
                 c = board[d]
-                if c == 0 or (c > 0) is not red:
-                    out.append(row[d])
-    elif kind is PieceKind.MINISTER:
-        for mid, d in MINISTER_JUMPS[sq]:
-            if board[mid] == 0:
-                c = board[d]
-                if c == 0 or (c > 0) is not red:
-                    out.append(row[d])
-    elif kind is PieceKind.GUARD:
-        if dark and rules.classic_dark_roles:
-            steps: Iterable[int] = GUARD_STEPS_CLASSIC[side][sq]
-        else:
-            steps = GUARD_STEPS[sq]
-        for d in steps:
+                if c:
+                    if c * sign < 0:
+                        out.append(m)
+                    break
+    else:  # King
+        steps, ahead, enemy_king = targets
+        for d, m in steps:
+            if board[d] * sign <= 0:
+                out.append(m)
+        for d, m in ahead:      # flying general: take an exposed enemy King
             c = board[d]
-            if c == 0 or (c > 0) is not red:
-                out.append(row[d])
-    else:  # KING
-        for d in KING_STEPS[side][sq]:
-            c = board[d]
-            if c == 0 or (c > 0) is not red:
-                out.append(row[d])
-        # Flying general: with the enemy King exposed on this file, capture
-        # it across any distance.
-        step = FILES if red else -FILES
-        d = sq + step
-        enemy_king = _BLACK_KING if red else _RED_KING
-        while 0 <= d < NUM_SQUARES:
-            c = board[d]
-            if c != 0:
+            if c:
                 if c == enemy_king:
-                    out.append(row[d])
+                    out.append(m)
                 break
-            d += step
 
 
 # ---------------------------------------------------------------------------
@@ -437,14 +434,14 @@ def apply_move(state: GameState, move: Move) -> tuple[GameState, MoveOutcome]:
     if not (0 <= move.from_sq < NUM_SQUARES and 0 <= move.to_sq < NUM_SQUARES):
         raise IllegalMoveError(f"square off board in {move}")
     from_cell = state.board[move.from_sq]
-    red = state.side_to_move is Side.RED
-    if from_cell == 0 or (from_cell > 0) is not red:
+    sign = 1 if state.side_to_move is Side.RED else -1
+    if from_cell * sign <= 0:
         raise IllegalMoveError(
             f"{move.text()}: no {state.side_to_move.name} piece on {square_name(move.from_sq)}"
         )
     candidates: list[Move] = []
-    _gen_piece(state.board, state.side_to_move, move.from_sq, from_cell,
-               state.rules, candidates)
+    _gen_piece(state.board, sign,
+               _PLANS[state.rules.classic_dark_roles][from_cell][move.from_sq], candidates)
     if move not in candidates:
         raise IllegalMoveError(f"illegal move {move.text()}")
 

@@ -1,7 +1,9 @@
 """A second, deliberately naive move generator used only as a test oracle.
 
-Written independently of the engine's table-driven generator: it scans all
-(from, to) square pairs and decides reachability with file/rank arithmetic.
+Written independently of the engine's generator, which looks up a plan per
+(cell code, square) in a table built at import and walks its precomputed
+targets.  This one builds no tables: it scans every (from, to) square pair
+of the mover's pieces and decides reachability with file/rank arithmetic.
 Slow but simple enough to audit line by line against the rules.
 """
 
@@ -103,9 +105,11 @@ def _reachable(state: GameState, frm: int, to: int) -> bool:
 
 
 def naive_legal_moves(state: GameState) -> set[Move]:
+    mover = 1 if state.side_to_move is Side.RED else -1
     return {
         Move(frm, to)
         for frm in range(90)
+        if state.board[frm] * mover > 0
         for to in range(90)
         if frm != to and _reachable(state, frm, to)
     }

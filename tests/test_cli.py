@@ -6,10 +6,15 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import jieqi
 from jieqi import encode_state, initial_state
 from jieqi.cli import run_cli
 from jieqi.jfen import INITIAL_JFEN
@@ -23,6 +28,11 @@ GOLDEN_SHA256 = {
     "series.csv": "91f75ba62c0e44332fb875928742b08dce3c11956b7100bae247a29743439fa3",
     "summary.json": "7c1777ce591e7d8329819acc38f1a8a57c3e19fcb250dcbd22c3595edb9fdc95",
 }
+
+
+def _digests(out_dir: Path) -> dict[str, str]:
+    return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+            for name in GOLDEN_SHA256}
 
 
 def run(capsys, *args: str) -> tuple[int, str, str]:
@@ -272,9 +282,21 @@ class TestSimulate:
         code, _, _ = run(capsys, "simulate", "--games", "8", "--seed", "0",
                          "--workers", workers, "--out-dir", str(tmp_path))
         assert code == 0
-        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-                   for name in GOLDEN_SHA256}
-        assert digests == GOLDEN_SHA256
+        assert _digests(tmp_path) == GOLDEN_SHA256
+
+    def test_golden_outputs_with_asserts_stripped(self, tmp_path) -> None:
+        # `python -O` strips assert statements; the package must hold its
+        # invariants and its output bytes without them.
+        src = str(Path(jieqi.__file__).parent.parent)
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "jieqi", "simulate", "--games", "8",
+             "--seed", "0", "--out-dir", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert _digests(tmp_path) == GOLDEN_SHA256
 
 
 #: Characters an edit of a state text writes: the JFEN alphabet plus a few

@@ -93,6 +93,14 @@ class TestRoundTrip:
         text = encode_state(state)
         assert decode_state(text, rules) == state
 
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(seed=st.integers(0, 2**32 - 1), plies=st.integers(0, 160),
+           classic=st.booleans())
+    def test_reachable_states_round_trip(self, seed: int, plies: int, classic: bool) -> None:
+        rules = Rules(classic_dark_roles=classic)
+        state = random_state(seed, plies, rules)
+        assert decode_state(encode_state(state, include_hidden=True), rules) == state
+
 
 class TestDecodeWithoutHidden:
     def test_observation_level_operations_work(self) -> None:

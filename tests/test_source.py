@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
+from typing import Iterator
 
 import jieqi
+from jieqi import Move, engine
 
 PACKAGE_DIR = Path(jieqi.__file__).parent
 
@@ -57,8 +59,9 @@ def test_kind_letters_spelled_once() -> None:
 
 
 def test_generator_builds_no_moves() -> None:
-    # The generator appends the Move objects interned in engine._MOVE;
-    # building a fresh one per generated move is the cost the table removes.
+    # The generator appends the Move objects that the plan table built at
+    # import; building a fresh one per generated move is the cost the table
+    # removes.
     tree = ast.parse((PACKAGE_DIR / "engine.py").read_text())
     generators = [node for node in tree.body if isinstance(node, ast.FunctionDef)
                   and node.name in ("_gen_piece", "_gen_all")]
@@ -67,6 +70,22 @@ def test_generator_builds_no_moves() -> None:
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id == "Move"]
     assert found == []
+
+
+def _moves_in(node: object) -> Iterator[Move]:
+    if isinstance(node, Move):
+        yield node
+    elif isinstance(node, (tuple, dict)):
+        for item in node.values() if isinstance(node, dict) else node:
+            yield from _moves_in(item)
+
+
+def test_plan_table_holds_each_move_once() -> None:
+    # One Move object per (from, to) pair that some movement table makes:
+    # the table is built at import in the program and in every worker, so
+    # a copy per cell, side or rule variant would cost memory twice over.
+    moves = list(_moves_in(engine._PLANS))
+    assert len({id(m) for m in moves}) == len(set(moves)) == 2550
 
 
 #: Reference oracles: tests check the fast paths against them, and no
