@@ -48,7 +48,7 @@ class Side(IntEnum):
 
     @property
     def opponent(self) -> Side:
-        return Side.BLACK if self is Side.RED else Side.RED
+        return OPPONENT[self]
 
     @property
     def letter(self) -> str:
@@ -60,6 +60,10 @@ class Side(IntEnum):
             return {"r": cls.RED, "b": cls.BLACK}[letter]
         except KeyError:
             raise ValueError(f"unknown side letter {letter!r}") from None
+
+
+#: Each side's opponent, indexed by Side: cheaper than the property per ply.
+OPPONENT = (Side.BLACK, Side.RED)
 
 
 @unique
@@ -137,7 +141,8 @@ CELL_KIND: dict[int, PieceKind | None] = {
     -DARK_CODE: None,
 }
 
-# Per-side cell codes, indexed by Side.
+# Per-side cell codes, indexed by Side; a side's cells have sign CELL_SIGN.
+CELL_SIGN = (1, -1)
 DARK_CELL = (DARK_CODE, -DARK_CODE)
 KING_CELL = tuple(make_cell(side, PieceKind.KING) for side in Side)
 #: Revealed non-king codes in NON_KING_KINDS order.

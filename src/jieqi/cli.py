@@ -57,7 +57,9 @@ def build_parser() -> _Parser:
     sim.add_argument("--seed", type=int, default=0, help="master seed")
     sim.add_argument("--draw-plies", type=int, default=40,
                      help="plies without a capture before a draw")
-    sim.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    # The CPUs this process may run on, which can be fewer than the host's.
+    sim.add_argument("--workers", type=int, default=len(os.sched_getaffinity(0))
+                     if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
     sim.add_argument("--out-dir", required=True,
                      help="directory for games.csv, series.csv, summary.json")
     sim.add_argument("--classic-dark-roles", action="store_true",

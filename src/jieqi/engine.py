@@ -40,6 +40,7 @@ from .board import (
     BLACK_DARK_HOME,
     BLACK_KING_START,
     CELL_KIND,
+    CELL_SIGN,
     DARK_CELL,
     GUARD_STEPS,
     GUARD_STEPS_CLASSIC,
@@ -50,6 +51,7 @@ from .board import (
     MINISTER_JUMPS,
     NON_KING_KINDS,
     NUM_SQUARES,
+    OPPONENT,
     PAWN_STEPS,
     RAYS,
     RED_DARK_HOME,
@@ -329,7 +331,7 @@ def _gen_all(
     """The side's moves in board order; with `first`, only those of the
     first piece that has any (the stalemate probe)."""
     moves: list[Move] = []
-    sign = 1 if side is Side.RED else -1
+    sign = CELL_SIGN[side]
     plans = _PLANS[rules.classic_dark_roles]
     for sq, cell in enumerate(board):
         if cell * sign > 0:
@@ -431,68 +433,67 @@ def apply_move(state: GameState, move: Move) -> tuple[GameState, MoveOutcome]:
     """
     if state.status.over:
         raise IllegalMoveError("game is over")
-    if not (0 <= move.from_sq < NUM_SQUARES and 0 <= move.to_sq < NUM_SQUARES):
+    from_sq, to_sq = move
+    if not (0 <= from_sq < NUM_SQUARES and 0 <= to_sq < NUM_SQUARES):
         raise IllegalMoveError(f"square off board in {move}")
-    from_cell = state.board[move.from_sq]
-    sign = 1 if state.side_to_move is Side.RED else -1
+    mover = state.side_to_move
+    rules = state.rules
+    board = state.board
+    from_cell = board[from_sq]
+    sign = CELL_SIGN[mover]
     if from_cell * sign <= 0:
         raise IllegalMoveError(
-            f"{move.text()}: no {state.side_to_move.name} piece on {square_name(move.from_sq)}"
+            f"{move.text()}: no {mover.name} piece on {square_name(from_sq)}"
         )
     candidates: list[Move] = []
-    _gen_piece(state.board, sign,
-               _PLANS[state.rules.classic_dark_roles][from_cell][move.from_sq], candidates)
+    _gen_piece(board, sign, _PLANS[rules.classic_dark_roles][from_cell][from_sq], candidates)
     if move not in candidates:
         raise IllegalMoveError(f"illegal move {move.text()}")
 
-    mover = state.side_to_move
-    board = list(state.board)
+    to_cell = board[to_sq]
+    board = list(board)
     hidden = dict(state.hidden)
-    to_cell = board[move.to_sq]
-
     revealed: PieceKind | None = None
     if from_cell in DARK_CELL:
-        revealed = hidden.pop(move.from_sq, None)
+        revealed = hidden.pop(from_sq, None)
         if revealed is None:
-            raise _missing_identity(mover, move.from_sq)
-        board[move.to_sq] = make_cell(mover, revealed)
+            raise _missing_identity(mover, from_sq)
+        board[to_sq] = make_cell(mover, revealed)
     else:
-        board[move.to_sq] = from_cell
-    board[move.from_sq] = 0
+        board[to_sq] = from_cell
+    board[from_sq] = 0
 
+    next_side = OPPONENT[mover]
     captured: Capture | None = None
     captured_by_red = state.captured_by_red
     captured_by_black = state.captured_by_black
-    if to_cell != 0:
+    if to_cell:
         cap_kind = CELL_KIND[to_cell]
         cap_dark = cap_kind is None
         if cap_dark:
-            cap_kind = hidden.pop(move.to_sq, None)
+            cap_kind = hidden.pop(to_sq, None)
             if cap_kind is None:
-                raise _missing_identity(mover.opponent, move.to_sq)
+                raise _missing_identity(next_side, to_sq)
         captured = Capture(cap_kind, cap_dark)
-        if mover is Side.RED:
-            captured_by_red = captured_by_red + (captured,)
+        if sign > 0:
+            captured_by_red += (captured,)
         else:
-            captured_by_black = captured_by_black + (captured,)
+            captured_by_black += (captured,)
         plies_since_capture = 0
     else:
         plies_since_capture = state.plies_since_capture + 1
 
-    next_side = mover.opponent
-    board_t = tuple(board)
-    status = game_status(board_t, next_side, plies_since_capture, state.rules)
-
+    board = tuple(board)
     new_state = GameState(
-        board=board_t,
+        board=board,
         hidden=hidden,
         side_to_move=next_side,
         ply_count=state.ply_count + 1,
         plies_since_capture=plies_since_capture,
         captured_by_red=captured_by_red,
         captured_by_black=captured_by_black,
-        status=status,
-        rules=state.rules,
+        status=game_status(board, next_side, plies_since_capture, rules),
+        rules=rules,
     )
     return new_state, MoveOutcome(revealed, captured)
 
@@ -508,30 +509,30 @@ def _missing_identity(side: Side, sq: int) -> MissingHiddenInfoError:
 # observation projection
 # ---------------------------------------------------------------------------
 
-def _capture_buckets(entries: tuple[Capture, ...]) -> tuple[KindMultiset, KindMultiset, int]:
-    """Split a capture list into (revealed kinds, dark kinds, dark count).
-    Kings are never face-down, so a captured King is skipped as revealed."""
+def _capture_counts(entries: tuple[Capture, ...]) -> tuple[list[int], list[int]]:
+    """Kind counts of a capture list's (revealed, dark) entries.  Kings are
+    never face-down, so a captured King is skipped as revealed."""
+    king = PieceKind.KING
     revealed = [0] * len(NON_KING_KINDS)
     dark = [0] * len(NON_KING_KINDS)
     for kind, was_dark in entries:
-        if kind is not PieceKind.KING:
+        if kind is not king:
             (dark if was_dark else revealed)[KIND_INDEX[kind]] += 1
-    return KindMultiset(tuple(revealed)), KindMultiset(tuple(dark)), sum(dark)
+    return revealed, dark
 
 
 def observe(state: GameState, viewer: Side) -> Observation:
     """Project the arbiter state to what `viewer` knows."""
-    by_viewer = state.captures_by(viewer)
-    by_opp = state.captures_by(viewer.opponent)
-    own_revealed_lost, _, own_dark_lost = _capture_buckets(by_opp)
-    opp_revealed_taken, opp_dark_taken, _ = _capture_buckets(by_viewer)
+    by_side = (state.captured_by_red, state.captured_by_black)
+    own_revealed_lost, own_dark_lost = _capture_counts(by_side[OPPONENT[viewer]])
+    opp_revealed_taken, opp_dark_taken = _capture_counts(by_side[viewer])
     return Observation(
         viewer=viewer,
         view=state.board,
-        own_revealed_captured_by_opp=own_revealed_lost,
-        own_dark_lost_count=own_dark_lost,
-        opp_revealed_captured=opp_revealed_taken,
-        opp_dark_captured_by_viewer=opp_dark_taken,
+        own_revealed_captured_by_opp=KindMultiset(tuple(own_revealed_lost)),
+        own_dark_lost_count=sum(own_dark_lost),
+        opp_revealed_captured=KindMultiset(tuple(opp_revealed_taken)),
+        opp_dark_captured_by_viewer=KindMultiset(tuple(opp_dark_taken)),
         side_to_move=state.side_to_move,
         plies_since_capture=state.plies_since_capture,
     )

@@ -16,8 +16,12 @@ constrain the on-board assignment without being ordered themselves.
 
 The pools and slot counts read only the board's count of each signed cell
 code and the two capture lists.  A move that neither reveals nor captures
-moves a face-up piece to an empty square, which changes none of these, so
-it leaves both viewers' pools -- and hence both sizes -- unchanged.
+moves a face-up piece to an empty square, which changes none of these.  A
+face-up piece taking a face-up piece moves one kind from the board count
+to the public capture list, and each pool subtracts both, so that changes
+none either.  Only a reveal or the capture of a face-down piece changes a
+pool: self-play recomputes a size after those moves alone and reuses the
+last one otherwise.
 
 The per-ply self-play measurement is infoset_size(observe(state, mover)):
 there is one definition, on the observation, and no state-level shortcut.
@@ -28,7 +32,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .board import DARK_CELL, NON_KING_CELLS, START_COUNTS
+from .board import DARK_CELL, NON_KING_CELLS, OPPONENT, START_COUNTS
 from .combinatorics import KindMultiset, multiset_arrangements
 from .engine import GameState, Observation, observe
 
@@ -51,36 +55,37 @@ def hidden_pools(obs: Observation) -> HiddenPools:
     captures.  Raises ValueError on an observation whose capture/reveal
     counts exceed the initial material (corrupt input).
     """
-    cells = Counter(obs.view)
-    own, opp = obs.viewer, obs.viewer.opponent
+    cells = Counter(filter(None, obs.view))
+    own = obs.viewer
+    opp = OPPONENT[own]
     own_slots = cells[DARK_CELL[own]]
     opp_slots = cells[DARK_CELL[opp]]
-    own_counts = tuple(
+    own_counts = [
         start - cells[code] - lost
         for start, code, lost in zip(
             START_COUNTS, NON_KING_CELLS[own], obs.own_revealed_captured_by_opp.counts
         )
-    )
-    opp_counts = tuple(
+    ]
+    opp_counts = [
         start - cells[code] - taken - seen
         for start, code, taken, seen in zip(
             START_COUNTS, NON_KING_CELLS[opp], obs.opp_revealed_captured.counts,
             obs.opp_dark_captured_by_viewer.counts,
         )
-    )
+    ]
     try:
-        own_pool = KindMultiset(own_counts)
-        opp_pool = KindMultiset(opp_counts)
+        own_pool = KindMultiset(tuple(own_counts))
+        opp_pool = KindMultiset(tuple(opp_counts))
     except ValueError as exc:
         raise ValueError(f"corrupt observation: {exc}") from None
-    if own_pool.total() != own_slots + obs.own_dark_lost_count:
+    if (own_total := sum(own_counts)) != own_slots + obs.own_dark_lost_count:
         raise ValueError(
             "corrupt observation: own pool size "
-            f"{own_pool.total()} != {own_slots} slots + {obs.own_dark_lost_count} lost"
+            f"{own_total} != {own_slots} slots + {obs.own_dark_lost_count} lost"
         )
-    if opp_pool.total() != opp_slots:
+    if (opp_total := sum(opp_counts)) != opp_slots:
         raise ValueError(
-            f"corrupt observation: opponent pool size {opp_pool.total()} != "
+            f"corrupt observation: opponent pool size {opp_total} != "
             f"{opp_slots} slots"
         )
     return HiddenPools(own_pool, own_slots, opp_pool, opp_slots)

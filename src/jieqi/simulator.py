@@ -113,18 +113,19 @@ def play_random_game(
     move is chosen; the terminal position itself records nothing.
 
     Each side's size is computed on its first ply and again only on its
-    first ply after a move that revealed or captured a piece; in between it
-    is reused, since a quiet move leaves both sides' hidden pools unchanged
-    (see the jieqi.infoset docstring).
+    first ply after a move that revealed a piece or captured a face-down
+    one; in between it is reused, since any other move -- a quiet one or a
+    face-up capture -- leaves both sides' hidden pools unchanged (see the
+    jieqi.infoset docstring).
     """
     state = initial_state(seed, rules)
     move_rng = random.Random(_splitmix64(seed ^ _GOLDEN))
     branching: list[int] = []
     log10s: list[float] = []
     infoset_total = 0
-    # (size, log10 size) per side, indexed by Side.  Reveals and captures
-    # are the only moves that change a hidden pool (see the jieqi.infoset
-    # docstring), so they alone clear both entries.
+    # (size, log10 size) per side, indexed by Side.  Reveals and face-down
+    # captures are the only moves that change a hidden pool (see the
+    # jieqi.infoset docstring), so they alone clear both entries.
     sized: list[tuple[int, float] | None] = [None, None]
     while not state.status.over:
         moves = legal_moves(state)
@@ -136,7 +137,8 @@ def play_random_game(
         log10s.append(entry[1])
         infoset_total += entry[0]
         state, outcome = apply_move(state, moves[move_rng.randrange(len(moves))])
-        if outcome.revealed is not None or outcome.captured is not None:
+        captured = outcome.captured
+        if outcome.revealed is not None or (captured is not None and captured.was_dark):
             sized = [None, None]
     return GameRecord(
         game_index=game_index,

@@ -18,6 +18,7 @@ import jieqi
 from jieqi import encode_state, initial_state
 from jieqi.cli import run_cli
 from jieqi.jfen import INITIAL_JFEN
+from jieqi.simulator import run_simulation
 
 SEED42_JFEN = encode_state(initial_state(42))
 
@@ -276,6 +277,29 @@ class TestSimulate:
                            "--out-dir", str(path))
         assert code == 1
         assert "usage:" in err
+
+    @pytest.mark.parametrize("affinity, expected", [({5}, 1), ({0, 2, 3}, 3), (None, 8)],
+                             ids=["pinned-to-one", "pinned-to-three", "no-affinity-call"])
+    def test_default_workers_count_usable_cpus(self, capsys, tmp_path, monkeypatch,
+                                               affinity, expected) -> None:
+        # The host has 8 CPUs; a process pinned to fewer must not fork more
+        # workers than it can run.  Without sched_getaffinity the host
+        # count is all there is.
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        asked: list[int] = []
+
+        def serial(games, seed, workers, rules):
+            asked.append(workers)
+            return run_simulation(games, seed, 1, rules)
+
+        monkeypatch.setattr("jieqi.cli.run_simulation", serial)
+        code, _, _ = run(capsys, "simulate", "--games", "1", "--out-dir", str(tmp_path))
+        assert code == 0
+        assert asked == [expected]
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_golden_outputs(self, capsys, tmp_path, workers) -> None:

@@ -8,12 +8,14 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import build_state, without
 from jieqi import (
     HiddenPools,
     KindMultiset,
     PieceKind,
+    Rules,
     START_POOL,
     Side,
     apply_move,
@@ -189,6 +191,31 @@ class TestBruteForceOracle:
         assert checked == 120
 
 
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(seed=st.integers(0, 2**32 - 1), extra=st.integers(0, 60), classic=st.booleans())
+    def test_matches_closed_form_on_reachable_states(
+        self, seed: int, extra: int, classic: bool
+    ) -> None:
+        # The state `extra` plies after random play first leaves at most 8
+        # squares face-down (the oracle's limit; dark squares never come
+        # back), or the last such state if the game ends first.
+        state = initial_state(seed, Rules(classic_dark_roles=classic))
+        rng = random.Random(seed)
+        late = []
+        while True:
+            if sum(c in DARK_CELL for c in state.board) <= 8:
+                late.append(state)
+            if len(late) > extra or state.status.over:
+                break
+            moves = legal_moves(state)
+            state, _ = apply_move(state, moves[rng.randrange(len(moves))])
+        assume(late)
+        state = late[-1]
+        for viewer in (Side.RED, Side.BLACK):
+            obs = observe(state, viewer)
+            assert infoset_size(obs) == infoset_size_bruteforce(obs)
+
+
 class TestProperties:
     def test_mirror_symmetry(self) -> None:
         for seed in (1, 5, 9):
@@ -264,18 +291,21 @@ class TestProperties:
 
     def test_quiet_move_keeps_both_pools(self) -> None:
         # The invariant the self-play loop relies on to reuse each side's
-        # size: a move that neither reveals nor captures changes no pool.
-        quiet = 0
+        # size: a move that reveals nothing and captures no face-down piece
+        # -- a quiet move or a face-up capture -- changes no pool.
+        kept = face_up_captures = 0
         for seed in range(15):
             state = initial_state(seed)
             rng = random.Random(seed + 2000)
             while not state.status.over:
                 moves = legal_moves(state)
                 after, outcome = apply_move(state, moves[rng.randrange(len(moves))])
-                if outcome.revealed is None and outcome.captured is None:
-                    quiet += 1
+                captured = outcome.captured
+                if outcome.revealed is None and not (captured and captured.was_dark):
+                    kept += 1
+                    face_up_captures += captured is not None
                     for viewer in (Side.RED, Side.BLACK):
                         assert hidden_pools(observe(after, viewer)) == \
                             hidden_pools(observe(state, viewer))
                 state = after
-        assert quiet > 0
+        assert kept > face_up_captures > 0
