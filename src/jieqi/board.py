@@ -1,4 +1,4 @@
-"""Board geometry, piece kinds and precomputed movement tables.
+"""Board geometry, piece kinds, cell codes and positional roles.
 
 Coordinate convention used throughout the package:
 
@@ -113,10 +113,6 @@ def square(file: int, rank: int) -> int:
     return rank * FILES + file
 
 
-def square_rank(sq: int) -> int:
-    return sq // FILES
-
-
 def square_name(sq: int) -> str:
     return FILE_LETTERS[sq % FILES] + str(sq // FILES)
 
@@ -179,20 +175,17 @@ ROLE_OF_SQUARE: tuple[PieceKind | None, ...] = tuple(
 RED_KING_START = square(4, 0)
 BLACK_KING_START = square(4, 9)
 
-#: The 15 initial non-king squares of each side; these are the only squares
-#: a face-down piece can ever occupy (dark pieces never move).
-RED_DARK_HOME: tuple[int, ...] = tuple(
-    sq for sq in range(NUM_SQUARES)
-    if ROLE_OF_SQUARE[sq] is not None and square_rank(sq) <= 4
-    and sq != RED_KING_START
+#: The 15 initial non-king squares of each side, indexed by Side; these are
+#: the only squares a face-down piece can ever occupy (dark pieces never
+#: move).
+DARK_HOME: tuple[tuple[int, ...], ...] = tuple(
+    tuple(
+        sq for sq in range(NUM_SQUARES)
+        if ROLE_OF_SQUARE[sq] not in (None, PieceKind.KING)
+        and (sq // FILES <= 4) == (side is Side.RED)
+    )
+    for side in Side
 )
-BLACK_DARK_HOME: tuple[int, ...] = tuple(
-    sq for sq in range(NUM_SQUARES)
-    if ROLE_OF_SQUARE[sq] is not None and square_rank(sq) >= 5
-    and sq != BLACK_KING_START
-)
-
-DARK_HOME = {Side.RED: RED_DARK_HOME, Side.BLACK: BLACK_DARK_HOME}
 
 
 def in_palace(sq: int, side: Side) -> bool:
@@ -200,114 +193,3 @@ def in_palace(sq: int, side: Side) -> bool:
     if not 3 <= f <= 5:
         return False
     return r <= 2 if side is Side.RED else r >= 7
-
-
-# --- precomputed movement tables --------------------------------------------
-#
-# All tables are indexed by square.  Directions are enumerated in a fixed
-# order (N, E, S, W and NE, SE, SW, NW) so generated move lists are
-# deterministic.
-
-_ORTH = ((0, 1), (1, 0), (0, -1), (-1, 0))
-_DIAG = ((1, 1), (1, -1), (-1, -1), (-1, 1))
-
-
-def _shift(sq: int, df: int, dr: int) -> int | None:
-    f, r = sq % FILES + df, sq // FILES + dr
-    if 0 <= f < FILES and 0 <= r < RANKS:
-        return r * FILES + f
-    return None
-
-
-def _king_steps(side: Side) -> tuple[tuple[int, ...], ...]:
-    table = []
-    for sq in range(NUM_SQUARES):
-        if not in_palace(sq, side):
-            table.append(())
-            continue
-        dests = [d for df, dr in _ORTH
-                 if (d := _shift(sq, df, dr)) is not None and in_palace(d, side)]
-        table.append(tuple(dests))
-    return tuple(table)
-
-
-KING_STEPS = {Side.RED: _king_steps(Side.RED), Side.BLACK: _king_steps(Side.BLACK)}
-
-# Guards may step diagonally anywhere on the board (JieQi relaxation).
-GUARD_STEPS: tuple[tuple[int, ...], ...] = tuple(
-    tuple(d for df, dr in _DIAG if (d := _shift(sq, df, dr)) is not None)
-    for sq in range(NUM_SQUARES)
-)
-
-# Classic guard movement (palace-confined), used for face-down guard-role
-# pieces when the classic_dark_roles rules flag is set.
-GUARD_STEPS_CLASSIC = {
-    side: tuple(
-        tuple(d for df, dr in _DIAG
-              if (d := _shift(sq, df, dr)) is not None and in_palace(d, side))
-        if in_palace(sq, side) else ()
-        for sq in range(NUM_SQUARES)
-    )
-    for side in (Side.RED, Side.BLACK)
-}
-
-# Ministers jump two diagonal steps with an empty midpoint; the river does
-# not block them (JieQi relaxation).  Entries are (midpoint, destination).
-MINISTER_JUMPS: tuple[tuple[tuple[int, int], ...], ...] = tuple(
-    tuple(
-        (m, d)
-        for df, dr in _DIAG
-        if (d := _shift(sq, 2 * df, 2 * dr)) is not None
-        and (m := _shift(sq, df, dr)) is not None
-    )
-    for sq in range(NUM_SQUARES)
-)
-
-# Horse moves as (blocking leg, destination) pairs.
-HORSE_MOVES: tuple[tuple[tuple[int, int], ...], ...] = tuple(
-    tuple(
-        (leg, d)
-        for lf, lr, df, dr in (
-            (0, 1, 1, 2), (0, 1, -1, 2), (1, 0, 2, 1), (1, 0, 2, -1),
-            (0, -1, 1, -2), (0, -1, -1, -2), (-1, 0, -2, 1), (-1, 0, -2, -1),
-        )
-        if (d := _shift(sq, df, dr)) is not None
-        and (leg := _shift(sq, lf, lr)) is not None
-    )
-    for sq in range(NUM_SQUARES)
-)
-
-# Rays of squares running outward from each square, one tuple per direction,
-# shared by rook slides and cannon slides/jumps.
-RAYS: tuple[tuple[tuple[int, ...], ...], ...] = tuple(
-    tuple(
-        tuple(
-            (sq // FILES + k * dr) * FILES + (sq % FILES + k * df)
-            for k in range(1, 10)
-            if 0 <= sq % FILES + k * df < FILES and 0 <= sq // FILES + k * dr < RANKS
-        )
-        for df, dr in _ORTH
-    )
-    for sq in range(NUM_SQUARES)
-)
-
-
-def _pawn_steps(side: Side) -> tuple[tuple[int, ...], ...]:
-    forward = 1 if side is Side.RED else -1
-    table = []
-    for sq in range(NUM_SQUARES):
-        dests = []
-        if (d := _shift(sq, 0, forward)) is not None:
-            dests.append(d)
-        crossed = (sq // FILES >= 5) if side is Side.RED else (sq // FILES <= 4)
-        if crossed:
-            for df in (1, -1):
-                if (d := _shift(sq, df, 0)) is not None:
-                    dests.append(d)
-        table.append(tuple(dests))
-    return tuple(table)
-
-
-# Pawn steps by current square: forward always, sideways once across the
-# river, never backward.
-PAWN_STEPS = {Side.RED: _pawn_steps(Side.RED), Side.BLACK: _pawn_steps(Side.BLACK)}

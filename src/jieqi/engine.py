@@ -37,24 +37,18 @@ from enum import Enum, unique
 from typing import Iterable, NamedTuple
 
 from .board import (
-    BLACK_DARK_HOME,
     BLACK_KING_START,
     CELL_KIND,
     CELL_SIGN,
     DARK_CELL,
-    GUARD_STEPS,
-    GUARD_STEPS_CLASSIC,
-    HORSE_MOVES,
+    DARK_HOME,
+    FILES,
     KIND_INDEX,
     KING_CELL,
-    KING_STEPS,
-    MINISTER_JUMPS,
     NON_KING_KINDS,
     NUM_SQUARES,
     OPPONENT,
-    PAWN_STEPS,
-    RAYS,
-    RED_DARK_HOME,
+    RANKS,
     RED_KING_START,
     ROLE_OF_SQUARE,
     PieceKind,
@@ -230,10 +224,10 @@ def initial_state(seed: int, rules: Rules = STANDARD_RULES) -> GameState:
     board = [0] * NUM_SQUARES
     hidden: dict[int, PieceKind] = {}
     board[RED_KING_START], board[BLACK_KING_START] = KING_CELL
-    for side, home in ((Side.RED, RED_DARK_HOME), (Side.BLACK, BLACK_DARK_HOME)):
+    for side in Side:
         kinds = START_POOL.expand()
         rng.shuffle(kinds)
-        for sq, kind in zip(home, kinds):
+        for sq, kind in zip(DARK_HOME[side], kinds):
             board[sq] = DARK_CELL[side]
             hidden[sq] = kind
     return GameState(
@@ -256,18 +250,39 @@ def initial_state(seed: int, rules: Rules = STANDARD_RULES) -> GameState:
 # Plan tags: how `_gen_piece` reads a plan's targets.
 _STEP, _LEG, _ROOK, _CANNON, _KING = range(5)
 
+# Movement as (file, rank) offsets.  Their order is the order in which a
+# piece's moves are generated, which seeded self-play depends on.
+_ORTHOGONAL = ((0, 1), (1, 0), (0, -1), (-1, 0))     # N, E, S, W
+_DIAGONAL = ((1, 1), (1, -1), (-1, -1), (-1, 1))     # NE, SE, SW, NW
+_SIDEWAYS = ((1, 0), (-1, 0))
+# (leg, destination) pairs: the move is blocked while the leg is occupied.
+_HORSE_LEGS = (
+    ((0, 1), (1, 2)), ((0, 1), (-1, 2)), ((1, 0), (2, 1)), ((1, 0), (2, -1)),
+    ((0, -1), (1, -2)), ((0, -1), (-1, -2)), ((-1, 0), (-2, 1)), ((-1, 0), (-2, -1)),
+)
+# Ministers jump two diagonal steps over an empty midpoint; the river does
+# not block them (JieQi relaxation).
+_MINISTER_LEGS = tuple(((df, dr), (2 * df, 2 * dr)) for df, dr in _DIAGONAL)
+
 
 def _plan_table() -> tuple[dict[int, tuple[tuple, ...]], ...]:
     """`_PLANS[classic_dark_roles][cell][sq]` is the (tag, targets) plan of
-    cell code `cell` on `sq`, with targets in the movement tables' order.
+    cell code `cell` on `sq`, built from the offsets above, in their order.
     step: (dest, move) pairs; leg: (leg, dest, move) triples; rook, cannon:
-    the four RAYS of (dest, move) pairs; King: (its steps, the file ray
-    ahead, the enemy King's cell).  A face-down cell moves by its square's
-    role.  To keep the table small, each (dest, move) pair is one object
-    (2,550 in all) and plans are shared wherever pieces move alike.
+    the four orthogonal rays of (dest, move) pairs; King: (its steps, the
+    file ray ahead, the enemy King's cell).  The King and the classic dark
+    Guard keep only their own palace; Guards otherwise step diagonally
+    anywhere (JieQi relaxation); a Pawn steps forward, and sideways too
+    once across the river.  A face-down cell moves by its square's role.
+    To keep the table small, each (dest, move) pair is one object (2,550 in
+    all) and plans are shared wherever pieces move alike.
     """
     squares = range(NUM_SQUARES)
     interned: list[tuple[int, Move] | None] = [None] * (NUM_SQUARES * NUM_SQUARES)
+
+    def shift(sq: int, df: int, dr: int) -> int | None:
+        f, r = sq % FILES + df, sq // FILES + dr
+        return r * FILES + f if 0 <= f < FILES and 0 <= r < RANKS else None
 
     def target(sq: int, d: int) -> tuple[int, Move]:
         i = sq * NUM_SQUARES + d
@@ -275,33 +290,49 @@ def _plan_table() -> tuple[dict[int, tuple[tuple, ...]], ...]:
             interned[i] = (d, Move(sq, d))
         return interned[i]
 
-    def targets(sq: int, dests: Iterable[int]) -> tuple[tuple[int, Move], ...]:
-        return tuple([target(sq, d) for d in dests])
+    def steps(sq: int, deltas: Iterable[tuple[int, int]], palace: Side | None = None) -> tuple:
+        # With `palace`, the piece stands and lands only in that side's palace.
+        if palace is not None and not in_palace(sq, palace):
+            return (_STEP, ())
+        dests = [d for df, dr in deltas if (d := shift(sq, df, dr)) is not None
+                 and (palace is None or in_palace(d, palace))]
+        return (_STEP, tuple([target(sq, d) for d in dests]))
 
-    def steps(table: tuple[tuple[int, ...], ...]) -> tuple[tuple, ...]:
-        return tuple([(_STEP, targets(sq, table[sq])) for sq in squares])
+    def legs(sq: int, pairs: tuple) -> tuple:
+        # A destination on the board has its leg on the board too.
+        return (_LEG, tuple([(shift(sq, *leg), d, target(sq, d)[1])
+                             for leg, (df, dr) in pairs
+                             if (d := shift(sq, df, dr)) is not None]))
 
-    def jumps(table: tuple[tuple[tuple[int, int], ...], ...]) -> tuple[tuple, ...]:
-        return tuple([(_LEG, tuple([(leg, d, target(sq, d)[1]) for leg, d in table[sq]]))
-                      for sq in squares])
+    def ray(sq: int, df: int, dr: int) -> tuple[tuple[int, Move], ...]:
+        out = []
+        d = shift(sq, df, dr)
+        while d is not None:
+            out.append(target(sq, d))
+            d = shift(d, df, dr)
+        return tuple(out)
 
-    rays = [tuple([targets(sq, ray) for ray in RAYS[sq]]) for sq in squares]
+    rays = [{delta: ray(sq, *delta) for delta in _ORTHOGONAL} for sq in squares]
+    four_rays = [tuple(by_delta.values()) for by_delta in rays]
     side_free = {
-        PieceKind.ROOK: tuple([(_ROOK, rays[sq]) for sq in squares]),
-        PieceKind.CANNON: tuple([(_CANNON, rays[sq]) for sq in squares]),
-        PieceKind.HORSE: jumps(HORSE_MOVES),
-        PieceKind.MINISTER: jumps(MINISTER_JUMPS),
-        PieceKind.GUARD: steps(GUARD_STEPS),
+        PieceKind.ROOK: tuple([(_ROOK, four_rays[sq]) for sq in squares]),
+        PieceKind.CANNON: tuple([(_CANNON, four_rays[sq]) for sq in squares]),
+        PieceKind.HORSE: tuple([legs(sq, _HORSE_LEGS) for sq in squares]),
+        PieceKind.MINISTER: tuple([legs(sq, _MINISTER_LEGS) for sq in squares]),
+        PieceKind.GUARD: tuple([steps(sq, _DIAGONAL) for sq in squares]),
     }
     relaxed, classic = {}, {}
     for side in Side:
-        ahead = 0 if side is Side.RED else 2        # the north or south ray
-        kings = [(_KING, (plan[1], rays[sq][ahead], KING_CELL[side.opponent]))
-                 for sq, plan in enumerate(steps(KING_STEPS[side]))]
-        by_kind = {**side_free, PieceKind.PAWN: steps(PAWN_STEPS[side]),
-                   PieceKind.KING: tuple(kings)}
+        forward = 1 if side is Side.RED else -1
+        own_half = range(5) if side is Side.RED else range(5, RANKS)
+        kings = [(_KING, (steps(sq, _ORTHOGONAL, side)[1], rays[sq][0, forward],
+                          KING_CELL[side.opponent])) for sq in squares]
+        pawns = [steps(sq, ((0, forward),) + (() if sq // FILES in own_half else _SIDEWAYS))
+                 for sq in squares]
+        by_kind = {**side_free, PieceKind.PAWN: tuple(pawns), PieceKind.KING: tuple(kings)}
         relaxed.update({make_cell(side, kind): plans for kind, plans in by_kind.items()})
-        palace = {**by_kind, PieceKind.GUARD: steps(GUARD_STEPS_CLASSIC[side])}
+        palace_guards = tuple([steps(sq, _DIAGONAL, side) for sq in squares])
+        palace = {**by_kind, PieceKind.GUARD: palace_guards}
         for rows, plans in ((relaxed, by_kind), (classic, palace)):
             rows[DARK_CELL[side]] = tuple([(_STEP, ()) if role is None else plans[role][sq]
                                            for sq, role in enumerate(ROLE_OF_SQUARE)])

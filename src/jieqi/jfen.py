@@ -305,6 +305,11 @@ def decode_state(text: str, rules: Rules = STANDARD_RULES) -> GameState:
         raise JfenError(
             f"plies-since-capture {plies_since_capture} exceeds the draw limit {rules.draw_plies}"
         )
+    if plies_since_capture > ply_count:
+        # Both counters start at 0 and a ply adds at most 1 to each.
+        raise JfenError(
+            f"plies-since-capture {plies_since_capture} exceeds the ply count {ply_count}"
+        )
 
     captured_by_red = _parse_captures(capr_f, "captured-by-red", Side.BLACK)
     captured_by_black = _parse_captures(capb_f, "captured-by-black", Side.RED)

@@ -30,7 +30,7 @@ from jieqi import (
     legal_moves,
     observe,
 )
-from jieqi.board import BLACK_DARK_HOME, RED_DARK_HOME
+from jieqi.board import DARK_HOME
 from jieqi.cli import run_cli
 from jieqi.jfen import INITIAL_JFEN
 
@@ -188,7 +188,7 @@ def _invariants_ok(state) -> bool:
         side = Side.RED if cell > 0 else Side.BLACK
         mag = cell if cell > 0 else -cell
         if mag == 8:
-            if sq not in (RED_DARK_HOME if cell > 0 else BLACK_DARK_HOME):
+            if sq not in DARK_HOME[side]:
                 return False
             totals[side][state.hidden[sq].value] += 1
         else:
@@ -202,7 +202,7 @@ def _invariants_ok(state) -> bool:
 
 def _shuffled_hidden(state, rng) -> object:
     hidden = {}
-    for home in (RED_DARK_HOME, BLACK_DARK_HOME):
+    for home in DARK_HOME:
         squares = [sq for sq in home if sq in state.hidden]
         kinds = [state.hidden[sq] for sq in squares]
         rng.shuffle(kinds)

@@ -468,3 +468,25 @@ def test_move_order_is_pinned(classic: bool) -> None:
             digest.update(" ".join(m.text() for m in moves).encode() + b"\n")
             state, _ = apply_move(state, moves[rng.randrange(len(moves))])
     assert digest.hexdigest() == MOVE_ORDER_SHA256[classic]
+
+
+#: SHA-256 of the legal-move list, in generation order, of every (cell,
+#: square) pair where a piece can stand, each alone with the two Kings on
+#: the board `_with_blockers` builds, under each rule variant.  Random play
+#: reaches only some plans, so this pins the order of the rest.
+EVERY_PLAN_ORDER_SHA256 = {
+    False: "fc45b7961a331c74a7cdca07b8c66035bd8919fc7a6515b4f48ff1ffa058139e",
+    True: "4dc4371602ab394489215f6f5b4f364af150469fd03975a22eed8f2d10859a84",
+}
+
+
+@pytest.mark.parametrize("classic", [False, True], ids=["relaxed", "classic"])
+def test_every_plan_order_is_pinned(classic: bool) -> None:
+    rules = Rules(classic_dark_roles=classic)
+    rng = random.Random(2024)
+    digest = hashlib.sha256()
+    for side in Side:
+        for cell, sq in _standing_pieces(side):
+            moves = legal_moves(_with_blockers(side, cell, sq, 0, rng, rules))
+            digest.update(" ".join(m.text() for m in moves).encode() + b"\n")
+    assert digest.hexdigest() == EVERY_PLAN_ORDER_SHA256[classic]

@@ -209,6 +209,12 @@ class TestMalformedInputs:
         with pytest.raises(JfenError, match="draw limit"):
             decode_state(INITIAL_JFEN.replace(" r 0 0 ", " r 41 50 ", 1))
 
+    @pytest.mark.parametrize("counters", [" r 40 0 ", " r 5 0 ", " r 8 7 "],
+                             ids=["draw-at-ply-0", "ongoing", "one-over"])
+    def test_more_plies_since_capture_than_plies(self, counters: str) -> None:
+        with pytest.raises(JfenError, match="ply count"):
+            decode_state(INITIAL_JFEN.replace(" r 0 0 ", counters, 1))
+
     @pytest.mark.parametrize("counters", [" r 007 0 ", " r 00 0 ", " r 0 01 "],
                              ids=["plies-since-capture", "zero-zero", "ply-count"])
     def test_counter_leading_zero(self, counters: str) -> None:
