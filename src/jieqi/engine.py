@@ -32,6 +32,7 @@ hidden identity up front.  `game_status` is the one termination rule: both
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import dataclass
 from enum import Enum, unique
 from typing import Iterable, NamedTuple
@@ -159,9 +160,16 @@ class GameState:
     square.  A dark square absent from `hidden` has an *undetermined*
     identity: such states arise only from decoding a state text without its
     hidden section, and support observation-level operations only.
+
+    `squares[side]` lists the squares of `side`'s pieces on `board`, King
+    included, in ascending (board) order, so the move generator visits a
+    side's pieces without scanning the board.  It is always
+    `side_squares(board)`: the constructors derive it and `apply_move`
+    keeps it up to date.
     """
 
     board: tuple[int, ...]
+    squares: tuple[tuple[int, ...], tuple[int, ...]]
     hidden: dict[int, PieceKind]
     side_to_move: Side
     ply_count: int
@@ -230,8 +238,10 @@ def initial_state(seed: int, rules: Rules = STANDARD_RULES) -> GameState:
         for sq, kind in zip(DARK_HOME[side], kinds):
             board[sq] = DARK_CELL[side]
             hidden[sq] = kind
+    board = tuple(board)
     return GameState(
-        board=tuple(board),
+        board=board,
+        squares=side_squares(board),
         hidden=hidden,
         side_to_move=Side.RED,
         ply_count=0,
@@ -241,6 +251,18 @@ def initial_state(seed: int, rules: Rules = STANDARD_RULES) -> GameState:
         status=ONGOING,
         rules=rules,
     )
+
+
+def side_squares(board: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Each side's occupied squares on `board`, ascending, indexed by Side."""
+    red: list[int] = []
+    black: list[int] = []
+    for sq, cell in enumerate(board):
+        if cell > 0:
+            red.append(sq)
+        elif cell:
+            black.append(sq)
+    return tuple(red), tuple(black)
 
 
 # ---------------------------------------------------------------------------
@@ -353,22 +375,24 @@ def legal_moves(state: GameState) -> list[Move]:
     """
     if state.status.over:
         raise ValueError("game is over; no legal moves")
-    return _gen_all(state.board, state.side_to_move, state.rules)
+    side = state.side_to_move
+    return _gen_all(state.board, state.squares[side], side, state.rules)
 
 
 def _gen_all(
-    board: tuple[int, ...], side: Side, rules: Rules, first: bool = False
+    board: tuple[int, ...], squares: tuple[int, ...], side: Side, rules: Rules,
+    first: bool = False,
 ) -> list[Move]:
-    """The side's moves in board order; with `first`, only those of the
-    first piece that has any (the stalemate probe)."""
+    """The moves of `side`, whose pieces stand on `squares`, in board order;
+    with `first`, only those of the first piece that has any (the stalemate
+    probe)."""
     moves: list[Move] = []
     sign = CELL_SIGN[side]
     plans = _PLANS[rules.classic_dark_roles]
-    for sq, cell in enumerate(board):
-        if cell * sign > 0:
-            _gen_piece(board, sign, plans[cell][sq], moves)
-            if first and moves:
-                break
+    for sq in squares:
+        _gen_piece(board, sign, plans[board[sq]][sq], moves)
+        if first and moves:
+            break
     return moves
 
 
@@ -428,12 +452,14 @@ _RED_KING, _BLACK_KING = KING_CELL
 
 def game_status(
     board: tuple[int, ...],
+    squares: tuple[int, ...],
     side_to_move: Side,
     plies_since_capture: int,
     rules: Rules,
 ) -> TerminalStatus:
     """The termination rule, checked in order: King captured (a King's cell
     is missing from the board), no-capture draw, side to move stalemated.
+    `squares` are the side to move's occupied squares.
 
     A King can reach the enemy palace only by the flying-general capture,
     so a winner whose King stands in the loser's palace won by
@@ -447,7 +473,7 @@ def game_status(
         return TerminalStatus.win(winner, WinReason.KING_CAPTURED)
     if plies_since_capture >= rules.draw_plies:
         return DRAW
-    if not _gen_all(board, side_to_move, rules, first=True):
+    if not _gen_all(board, squares, side_to_move, rules, first=True):
         return TerminalStatus.win(side_to_move.opponent, WinReason.OPPONENT_STALEMATED)
     return ONGOING
 
@@ -495,6 +521,10 @@ def apply_move(state: GameState, move: Move) -> tuple[GameState, MoveOutcome]:
     board[from_sq] = 0
 
     next_side = OPPONENT[mover]
+    own = list(state.squares[mover])
+    own.remove(from_sq)
+    insort(own, to_sq)
+    theirs = state.squares[next_side]
     captured: Capture | None = None
     captured_by_red = state.captured_by_red
     captured_by_black = state.captured_by_black
@@ -506,6 +536,9 @@ def apply_move(state: GameState, move: Move) -> tuple[GameState, MoveOutcome]:
             if cap_kind is None:
                 raise _missing_identity(next_side, to_sq)
         captured = Capture(cap_kind, cap_dark)
+        theirs = list(theirs)
+        theirs.remove(to_sq)
+        theirs = tuple(theirs)
         if sign > 0:
             captured_by_red += (captured,)
         else:
@@ -517,13 +550,14 @@ def apply_move(state: GameState, move: Move) -> tuple[GameState, MoveOutcome]:
     board = tuple(board)
     new_state = GameState(
         board=board,
+        squares=(tuple(own), theirs) if sign > 0 else (theirs, tuple(own)),
         hidden=hidden,
         side_to_move=next_side,
         ply_count=state.ply_count + 1,
         plies_since_capture=plies_since_capture,
         captured_by_red=captured_by_red,
         captured_by_black=captured_by_black,
-        status=game_status(board, next_side, plies_since_capture, rules),
+        status=game_status(board, theirs, next_side, plies_since_capture, rules),
         rules=rules,
     )
     return new_state, MoveOutcome(revealed, captured)
@@ -583,7 +617,8 @@ def perft_counts(state: GameState, max_depth: int) -> list[int]:
     counts = [0] * (max_depth + 1)
 
     def walk(s: GameState, depth: int) -> None:
-        moves = _gen_all(s.board, s.side_to_move, s.rules)
+        side = s.side_to_move
+        moves = _gen_all(s.board, s.squares[side], side, s.rules)
         counts[depth + 1] += len(moves)
         if depth + 1 < max_depth:
             for m in moves:

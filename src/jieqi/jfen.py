@@ -10,7 +10,9 @@ board     ten rank fields from rank 9 down to rank 0, joined by '/'.
           Black; 'X' is a face-down Red piece, 'x' face-down Black.
 side      'r' or 'b', the side to move.
 counters  plies-since-capture and ply-count in ASCII decimal, with no
-          leading zero ('0' itself is written as is).
+          leading zero ('0' itself is written as is).  They must agree with
+          play: Black is to move exactly at odd ply counts, and the first
+          equals the second until a capture and is below it after one.
 cap-red   pieces captured by Red (so Black kinds, lowercase), in capture
           order, each letter carrying a '*' suffix if the piece was
           face-down when taken; '-' when empty.  cap-black likewise with
@@ -58,6 +60,7 @@ from .engine import (
     STANDARD_RULES,
     game_status,
     observe,
+    side_squares,
 )
 from .infoset import hidden_pools
 
@@ -237,7 +240,9 @@ def _check_material(state: GameState, side: Side, has_hidden: bool) -> None:
     king, dark = KING_CELL[side], DARK_CELL[side]
     kings_on_board = 0
     dark_squares = []
-    for sq, cell in enumerate(state.board):
+    board = state.board
+    for sq in state.squares[side]:
+        cell = board[sq]
         if cell == dark:
             if sq not in DARK_HOME[side]:
                 raise JfenError(
@@ -270,6 +275,23 @@ def _check_material(state: GameState, side: Side, has_hidden: bool) -> None:
                 f"hidden: {side.name} assignment {assigned} does not match the "
                 f"unaccounted pool {pool}"
             )
+
+
+def _check_counters(state: GameState) -> None:
+    """The counters agree with play: Red moves first and nobody passes, and
+    the no-capture counter restarts at each capture, so it counts every ply
+    of a game without captures and fewer plies of any other."""
+    psc, plies = state.plies_since_capture, state.ply_count
+    if state.captured_by_red or state.captured_by_black:
+        if psc >= plies:
+            raise JfenError(f"plies-since-capture {psc} must be below the ply count "
+                            f"{plies} once a piece has been captured")
+    elif psc != plies:
+        raise JfenError(f"plies-since-capture {psc} must equal the ply count {plies} "
+                        "while nothing has been captured")
+    if state.side_to_move is not (Side.BLACK if plies % 2 else Side.RED):
+        raise JfenError(f"side to move: {state.side_to_move.name} cannot move at ply "
+                        f"{plies}; Red moves at even plies and Black at odd ones")
 
 
 def _parse_counter(field: str) -> int:
@@ -305,18 +327,15 @@ def decode_state(text: str, rules: Rules = STANDARD_RULES) -> GameState:
         raise JfenError(
             f"plies-since-capture {plies_since_capture} exceeds the draw limit {rules.draw_plies}"
         )
-    if plies_since_capture > ply_count:
-        # Both counters start at 0 and a ply adds at most 1 to each.
-        raise JfenError(
-            f"plies-since-capture {plies_since_capture} exceeds the ply count {ply_count}"
-        )
 
     captured_by_red = _parse_captures(capr_f, "captured-by-red", Side.BLACK)
     captured_by_black = _parse_captures(capb_f, "captured-by-black", Side.RED)
     hidden = _parse_hidden(hidden_f, board)
 
+    board = tuple(board)
     state = GameState(
-        board=tuple(board),
+        board=board,
+        squares=side_squares(board),
         hidden=hidden,
         side_to_move=side_to_move,
         ply_count=ply_count,
@@ -331,8 +350,9 @@ def decode_state(text: str, rules: Rules = STANDARD_RULES) -> GameState:
     if not any(king in state.board for king in KING_CELL):
         # Play stops at the first King capture.
         raise JfenError("board: at most one King can be captured")
+    _check_counters(state)
     return replace(state, status=game_status(
-        state.board, side_to_move, plies_since_capture, rules
+        board, state.squares[side_to_move], side_to_move, plies_since_capture, rules
     ))
 
 

@@ -66,7 +66,17 @@ class GameRecord:
 
     @property
     def mean_log10_infoset(self) -> float:
-        return sum(self.log10_infoset_per_ply) / self.plies
+        return _sum_in_order(self.log10_infoset_per_ply) / self.plies
+
+
+def _sum_in_order(values: list[float]) -> float:
+    """Left-to-right float sum.  `sum()` rounds differently from Python 3.12
+    on (compensated summation), which would move the output bytes with the
+    interpreter."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
 
 
 class SeriesRow(NamedTuple):
@@ -192,7 +202,7 @@ def run_simulation(
     for done, rec in enumerate(records, start=1):
         total_plies += rec.plies
         total_branching += sum(rec.branching_per_ply)
-        total_log10 += sum(rec.log10_infoset_per_ply)
+        total_log10 += _sum_in_order(rec.log10_infoset_per_ply)
         total_size += rec.infoset_total
         label = rec.result.label()
         breakdown[label] = breakdown.get(label, 0) + 1

@@ -19,7 +19,7 @@ from jieqi import (
     parse_square,
 )
 from jieqi.board import DARK_CELL, NUM_SQUARES, make_cell
-from jieqi.engine import Capture, ONGOING
+from jieqi.engine import Capture, ONGOING, side_squares
 
 
 def build_state(
@@ -65,8 +65,10 @@ def build_state(
         entries.extend(Capture(kind, False) for kind in pool.expand())
         return tuple(entries)
 
+    board = tuple(board)
     return GameState(
-        board=tuple(board),
+        board=board,
+        squares=side_squares(board),
         hidden=hidden,
         side_to_move=to_move,
         ply_count=ply_count,

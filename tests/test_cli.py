@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -209,16 +210,20 @@ class TestPerft:
         assert out.splitlines() == ["depth 1: 0"]
 
     def test_ply_count_is_not_a_bound(self, capsys) -> None:
-        # the ply counter is bookkeeping; the draw rule bounds a game
-        fields = encode_state(initial_state(0)).split(" ")
+        # the ply counter is bookkeeping; the draw rule bounds a game.  The
+        # state carries captures, so its ply count may exceed the
+        # no-capture counter by any amount of the same parity.
+        from conftest import random_state
+        fields = encode_state(random_state(5, 40)).split(" ")
+        assert fields[2:6] == ["3", "40", "p", "R*C"]
         counts = []
-        for ply_count in ("0", "1500"):
+        for ply_count in ("40", "1540"):
             fields[3] = ply_count
             code, out, _ = run(capsys, "perft", "--state", " ".join(fields),
                                "--depth", "2")
             assert code == 0
             counts.append(out.splitlines())
-        assert counts[0] == counts[1] == ["depth 1: 46", "depth 2: 2106"]
+        assert counts[0] == counts[1] == ["depth 1: 37", "depth 2: 1495"]
 
     def test_depth_bound(self, capsys) -> None:
         code, _, _ = run(capsys, "perft", "--state", SEED42_JFEN, "--depth", "5")
@@ -311,16 +316,35 @@ class TestSimulate:
     def test_golden_outputs_with_asserts_stripped(self, tmp_path) -> None:
         # `python -O` strips assert statements; the package must hold its
         # invariants and its output bytes without them.
-        src = str(Path(jieqi.__file__).parent.parent)
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, "-O", "-m", "jieqi", "simulate", "--games", "8",
-             "--seed", "0", "--out-dir", str(tmp_path)],
-            env=env, capture_output=True, text=True, timeout=300,
-        )
+        proc = _golden_simulate([sys.executable, "-O"], tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert _digests(tmp_path) == GOLDEN_SHA256
+
+    @pytest.mark.parametrize("version", ["3.10", "3.11", "3.12", "3.13"])
+    def test_golden_outputs_on_each_python(self, tmp_path, version: str) -> None:
+        # The bytes must not depend on the interpreter (from 3.12 on, sum()
+        # of floats rounds differently).  The package uses the standard
+        # library only, so any python3.X on PATH that starts can run it.
+        exe = shutil.which(f"python{version}")
+        if exe is None or subprocess.run([exe, "-c", "pass"], capture_output=True,
+                                         timeout=60).returncode != 0:
+            pytest.skip(f"python{version} is not on PATH or does not start")
+        proc = _golden_simulate([exe], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert _digests(tmp_path) == GOLDEN_SHA256
+
+
+def _golden_simulate(interpreter: list[str], out_dir: Path) -> subprocess.CompletedProcess:
+    """Run `simulate --games 8 --seed 0` in a fresh `interpreter` on this
+    checkout's package."""
+    src = str(Path(jieqi.__file__).parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [*interpreter, "-m", "jieqi", "simulate", "--games", "8", "--seed", "0",
+         "--out-dir", str(out_dir)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
 
 
 #: Characters an edit of a state text writes: the JFEN alphabet plus a few

@@ -19,6 +19,8 @@ from jieqi import (
     Side,
     WinReason,
     apply_move,
+    decode_state,
+    encode_state,
     initial_state,
     legal_moves,
     parse_square,
@@ -32,7 +34,7 @@ from jieqi.board import (
     ROLE_OF_SQUARE,
     in_palace,
 )
-from jieqi.engine import ONGOING, GameState, game_status
+from jieqi.engine import ONGOING, GameState, game_status, side_squares
 
 
 def _dests(state, from_name: str) -> set[str]:
@@ -327,7 +329,8 @@ class TestAgainstNaiveGenerator:
 
 
 def _stalemated(state) -> bool:
-    status = game_status(state.board, state.side_to_move,
+    side = state.side_to_move
+    status = game_status(state.board, state.squares[side], side,
                          state.plies_since_capture, state.rules)
     return status.reason is WinReason.OPPONENT_STALEMATED
 
@@ -392,6 +395,27 @@ class TestGeneratorOracle:
             apply_move(state, move)
 
 
+class TestCarriedSquares:
+    """Each state carries its sides' occupied squares, which `apply_move`
+    updates instead of scanning the board: after every move of seeded
+    random play they must equal a fresh scan, and survive a state-text
+    round trip."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), classic=st.booleans())
+    def test_apply_move_keeps_squares_equal_to_a_scan(self, seed: int, classic: bool) -> None:
+        rules = Rules(classic_dark_roles=classic)
+        state = initial_state(seed, rules)
+        rng = random.Random(seed)
+        while True:
+            assert state.squares == side_squares(state.board), state.ply_count
+            assert decode_state(encode_state(state), rules).squares == state.squares
+            if state.status.over:
+                break
+            moves = legal_moves(state)
+            state, _ = apply_move(state, moves[rng.randrange(len(moves))])
+
+
 def _standing_pieces(side: Side) -> list[tuple[int, int]]:
     """(cell, square) for every cell code of `side` on every square where
     it can stand: face-down cells on the side's home squares, the King in
@@ -418,9 +442,10 @@ def _with_blockers(side: Side, cell: int, sq: int, blockers: int, rng: random.Ra
         if board[at] == 0:
             dark = at in DARK_HOME[owner] and rng.random() < 0.5
             board[at] = DARK_CELL[owner] if dark else rng.choice(NON_KING_CELLS[owner])
-    return GameState(board=tuple(board), hidden={}, side_to_move=side, ply_count=0,
-                     plies_since_capture=0, captured_by_red=(), captured_by_black=(),
-                     status=ONGOING, rules=rules)
+    board = tuple(board)
+    return GameState(board=board, squares=side_squares(board), hidden={},
+                     side_to_move=side, ply_count=0, plies_since_capture=0,
+                     captured_by_red=(), captured_by_black=(), status=ONGOING, rules=rules)
 
 
 class TestEveryPlan:

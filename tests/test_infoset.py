@@ -29,6 +29,7 @@ from jieqi import (
     observe,
 )
 from jieqi.board import DARK_CELL, DARK_CODE, NUM_SQUARES
+from jieqi.engine import side_squares
 
 
 def _mirror(state):
@@ -39,9 +40,11 @@ def _mirror(state):
         r, f = divmod(sq, 9)
         flipped[(9 - r) * 9 + f] = -cell
     hidden = {(9 - sq // 9) * 9 + sq % 9: k for sq, k in state.hidden.items()}
+    flipped = tuple(flipped)
     return replace(
         state,
-        board=tuple(flipped),
+        board=flipped,
+        squares=side_squares(flipped),
         hidden=hidden,
         side_to_move=state.side_to_move.opponent,
         captured_by_red=state.captured_by_black,

@@ -117,7 +117,7 @@ class TestDecodeWithoutHidden:
         # moving toward an empty square with a revealed piece is still fine
         partial = decode_state(
             encode_state(build_state(red={"e0": "K", "e4": "R", "a4": "R"},
-                                     black={"e8": "K", "a6": "dark:P"}),
+                                     black={"e8": "K", "a6": "dark:P"}, ply_count=2),
                          include_hidden=False)
         )
         nxt, _ = apply_move(partial, mv("e4d4"))
@@ -156,7 +156,7 @@ class TestStatusDerivation:
     def test_draw_detected(self) -> None:
         state = build_state(red={"e0": "K", "a0": "R"},
                             black={"e8": "K", "i9": "r"},
-                            plies_since_capture=39, ply_count=77)
+                            plies_since_capture=39, ply_count=78)
         final, _ = apply_move(state, mv("a0a1"))
         assert decode_state(encode_state(final)).status.label() == "draw"
 
@@ -168,6 +168,7 @@ class TestStatusDerivation:
                 "e8": "K", "c0": "p", "d1": "p", "g0": "p", "f1": "p",
                 "d2": "p", "f2": "r",
             },
+            ply_count=2,
         )
         assert legal_moves(blocked) == []
         decoded = decode_state(encode_state(blocked))
@@ -222,8 +223,29 @@ class TestMalformedInputs:
             decode_state(INITIAL_JFEN.replace(" r 0 0 ", counters, 1))
 
     def test_counters_round_trip(self) -> None:
-        for text in (INITIAL_JFEN, INITIAL_JFEN.replace(" r 0 0 ", " r 7 10 ", 1)):
+        # the start, and a text whose no-capture counter restarted at a capture
+        midgame = _reachable_text(5, 40, include_hidden=False)
+        assert midgame.split(" ")[2:6] == ["3", "40", "p", "R*C"]
+        for text in (INITIAL_JFEN, midgame, midgame.replace(" r 3 40 ", " r 7 1040 ", 1)):
             assert encode_state(decode_state(text), include_hidden=False) == text
+
+    @pytest.mark.parametrize("counters", [" b 0 0 ", " r 1 1 ", " b 2 2 "],
+                             ids=["black-at-ply-0", "red-at-ply-1", "black-at-ply-2"])
+    def test_side_to_move_disagrees_with_ply_count(self, counters: str) -> None:
+        with pytest.raises(JfenError, match="side to move"):
+            decode_state(INITIAL_JFEN.replace(" r 0 0 ", counters, 1))
+
+    @pytest.mark.parametrize("counters", [" r 0 1 ", " r 3 7 ", " r 0 2 ", " b 2 5 "],
+                             ids=["0-of-1", "3-of-7", "0-of-2", "2-of-5"])
+    def test_no_capture_counter_below_plies_without_captures(self, counters: str) -> None:
+        with pytest.raises(JfenError, match="nothing has been captured"):
+            decode_state(INITIAL_JFEN.replace(" r 0 0 ", counters, 1))
+
+    @pytest.mark.parametrize("counters", [" r 40 40 ", " r 0 0 "], ids=["40-of-40", "0-of-0"])
+    def test_no_capture_counter_at_plies_after_a_capture(self, counters: str) -> None:
+        midgame = _reachable_text(5, 40, include_hidden=False)
+        with pytest.raises(JfenError, match="once a piece has been captured"):
+            decode_state(midgame.replace(" r 3 40 ", counters, 1))
 
     def test_both_kings_captured(self) -> None:
         # Play stops at the first King capture, so no game reaches this.
