@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -23,6 +22,7 @@ from .infoset import infoset_size
 from .jfen import JfenError, decode_state
 from .simulator import (
     run_simulation,
+    usable_cpus,
     write_games_csv,
     write_series_csv,
     write_summary_json,
@@ -57,9 +57,8 @@ def build_parser() -> _Parser:
     sim.add_argument("--seed", type=int, default=0, help="master seed")
     sim.add_argument("--draw-plies", type=int, default=40,
                      help="plies without a capture before a draw")
-    # The CPUs this process may run on, which can be fewer than the host's.
-    sim.add_argument("--workers", type=int, default=len(os.sched_getaffinity(0))
-                     if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+    sim.add_argument("--workers", type=int, default=usable_cpus(),
+                     help="worker processes, at most one per usable CPU and per game")
     sim.add_argument("--out-dir", required=True,
                      help="directory for games.csv, series.csv, summary.json")
     sim.add_argument("--classic-dark-roles", action="store_true",

@@ -23,9 +23,11 @@ Rule decisions baked into this engine:
     reset it.
   * A revealed Pawn's river status is judged from its current square.
 
-All state is immutable; `apply_move` returns a fresh state.  Randomness
-enters only through the explicit seed of `initial_state`, which fixes every
-hidden identity up front.  `game_status` is the one termination rule: both
+States are immutable, hashable values: `hidden` is indexed by square,
+with `None` where no face-down identity is carried, and `captures` by the
+capturing side.  `apply_move` returns a fresh state.  Randomness enters
+only through the explicit seed of `initial_state`, which fixes every hidden
+identity up front.  `game_status` is the one termination rule: both
 `apply_move` and the state-text decoder derive a state's status through it.
 """
 
@@ -89,9 +91,6 @@ class Rules:
         if self.draw_plies < 1:
             raise ValueError(f"draw_plies must be >= 1, got {self.draw_plies}")
 
-    def flags(self) -> dict[str, bool]:
-        return {"classic_dark_roles": self.classic_dark_roles}
-
 
 STANDARD_RULES = Rules()
 
@@ -153,42 +152,38 @@ class MoveOutcome:
 @dataclass(frozen=True)
 class GameState:
     """Arbiter state: public board plus the hidden identity assignment.
+    Every field is immutable, so equal states hash equal.
 
     `board` holds only player-visible cell codes (see jieqi.board).  It is
     the one record of where the Kings stand: a captured King's cell is gone
-    from it.  The true kinds of face-down pieces live in `hidden`, keyed by
-    square.  A dark square absent from `hidden` has an *undetermined*
-    identity: such states arise only from decoding a state text without its
-    hidden section, and support observation-level operations only.
+    from it.  `hidden[sq]` is the true kind of the face-down piece on `sq`,
+    and `None` on every other square.  A face-down square whose entry is
+    `None` has an *undetermined* identity: such states arise only from
+    decoding a state text without its hidden section, and support
+    observation-level operations only.
 
     `squares[side]` lists the squares of `side`'s pieces on `board`, King
     included, in ascending (board) order, so the move generator visits a
     side's pieces without scanning the board.  It is always
     `side_squares(board)`: the constructors derive it and `apply_move`
-    keeps it up to date.
+    keeps it up to date.  `captures[side]` lists the pieces `side` took,
+    in capture order, each with the face it had when taken.
     """
 
     board: tuple[int, ...]
     squares: tuple[tuple[int, ...], tuple[int, ...]]
-    hidden: dict[int, PieceKind]
+    hidden: tuple[PieceKind | None, ...]
     side_to_move: Side
     ply_count: int
     plies_since_capture: int
-    captured_by_red: tuple[Capture, ...]
-    captured_by_black: tuple[Capture, ...]
+    captures: tuple[tuple[Capture, ...], tuple[Capture, ...]]
     status: TerminalStatus
     rules: Rules
 
-    def captures_by(self, side: Side) -> tuple[Capture, ...]:
-        return self.captured_by_red if side is Side.RED else self.captured_by_black
-
     def is_arbiter_complete(self) -> bool:
         """True when every face-down piece has a determined identity."""
-        return all(
-            sq in self.hidden
-            for sq, cell in enumerate(self.board)
-            if cell in DARK_CELL
-        )
+        return all(kind is not None for kind, cell in zip(self.hidden, self.board)
+                   if cell in DARK_CELL)
 
 
 @dataclass(frozen=True)
@@ -230,7 +225,7 @@ def initial_state(seed: int, rules: Rules = STANDARD_RULES) -> GameState:
     15 remaining initial squares, face-down."""
     rng = random.Random(seed & 0xFFFFFFFFFFFFFFFF)
     board = [0] * NUM_SQUARES
-    hidden: dict[int, PieceKind] = {}
+    hidden: list[PieceKind | None] = [None] * NUM_SQUARES
     board[RED_KING_START], board[BLACK_KING_START] = KING_CELL
     for side in Side:
         kinds = START_POOL.expand()
@@ -242,12 +237,11 @@ def initial_state(seed: int, rules: Rules = STANDARD_RULES) -> GameState:
     return GameState(
         board=board,
         squares=side_squares(board),
-        hidden=hidden,
+        hidden=tuple(hidden),
         side_to_move=Side.RED,
         ply_count=0,
         plies_since_capture=0,
-        captured_by_red=(),
-        captured_by_black=(),
+        captures=((), ()),
         status=ONGOING,
         rules=rules,
     )
@@ -509,10 +503,10 @@ def apply_move(state: GameState, move: Move) -> tuple[GameState, MoveOutcome]:
 
     to_cell = board[to_sq]
     board = list(board)
-    hidden = dict(state.hidden)
+    hidden = state.hidden
     revealed: PieceKind | None = None
     if from_cell in DARK_CELL:
-        revealed = hidden.pop(from_sq, None)
+        revealed = hidden[from_sq]
         if revealed is None:
             raise _missing_identity(mover, from_sq)
         board[to_sq] = make_cell(mover, revealed)
@@ -526,26 +520,29 @@ def apply_move(state: GameState, move: Move) -> tuple[GameState, MoveOutcome]:
     insort(own, to_sq)
     theirs = state.squares[next_side]
     captured: Capture | None = None
-    captured_by_red = state.captured_by_red
-    captured_by_black = state.captured_by_black
+    captures = state.captures
     if to_cell:
         cap_kind = CELL_KIND[to_cell]
         cap_dark = cap_kind is None
         if cap_dark:
-            cap_kind = hidden.pop(to_sq, None)
+            cap_kind = hidden[to_sq]
             if cap_kind is None:
                 raise _missing_identity(next_side, to_sq)
         captured = Capture(cap_kind, cap_dark)
         theirs = list(theirs)
         theirs.remove(to_sq)
         theirs = tuple(theirs)
-        if sign > 0:
-            captured_by_red += (captured,)
-        else:
-            captured_by_black += (captured,)
+        captures = list(captures)
+        captures[mover] += (captured,)
+        captures = tuple(captures)
         plies_since_capture = 0
     else:
         plies_since_capture = state.plies_since_capture + 1
+    if revealed is not None or (captured is not None and captured.was_dark):
+        # Any other move leaves every identity in place: share the tuple.
+        hidden = list(hidden)
+        hidden[from_sq] = hidden[to_sq] = None
+        hidden = tuple(hidden)
 
     board = tuple(board)
     new_state = GameState(
@@ -555,8 +552,7 @@ def apply_move(state: GameState, move: Move) -> tuple[GameState, MoveOutcome]:
         side_to_move=next_side,
         ply_count=state.ply_count + 1,
         plies_since_capture=plies_since_capture,
-        captured_by_red=captured_by_red,
-        captured_by_black=captured_by_black,
+        captures=captures,
         status=game_status(board, theirs, next_side, plies_since_capture, rules),
         rules=rules,
     )
@@ -588,9 +584,8 @@ def _capture_counts(entries: tuple[Capture, ...]) -> tuple[list[int], list[int]]
 
 def observe(state: GameState, viewer: Side) -> Observation:
     """Project the arbiter state to what `viewer` knows."""
-    by_side = (state.captured_by_red, state.captured_by_black)
-    own_revealed_lost, own_dark_lost = _capture_counts(by_side[OPPONENT[viewer]])
-    opp_revealed_taken, opp_dark_taken = _capture_counts(by_side[viewer])
+    own_revealed_lost, own_dark_lost = _capture_counts(state.captures[OPPONENT[viewer]])
+    opp_revealed_taken, opp_dark_taken = _capture_counts(state.captures[viewer])
     return Observation(
         viewer=viewer,
         view=state.board,

@@ -94,40 +94,30 @@ def _captures_field(entries: tuple[Capture, ...], owner: Side) -> str:
 def encode_state(state: GameState, include_hidden: bool = True) -> str:
     """Render a state as canonical JFEN text."""
     ranks = []
+    entries = []    # the hidden section, in board order
     for r in range(RANKS - 1, -1, -1):
         row = []
         run = 0
         for f in range(FILES):
-            cell = state.board[r * FILES + f]
+            sq = r * FILES + f
+            cell = state.board[sq]
             if cell == 0:
                 run += 1
-            else:
-                if run:
-                    row.append(str(run))
-                    run = 0
-                row.append(_CELL_LETTER[cell])
+                continue
+            if run:
+                row.append(str(run))
+                run = 0
+            row.append(_CELL_LETTER[cell])
+            if include_hidden and cell in DARK_CELL:
+                kind = state.hidden[sq]
+                if kind is None:
+                    raise ValueError(f"cannot encode hidden section: identity of "
+                                     f"{square_name(sq)} is undetermined")
+                side = Side.RED if cell > 0 else Side.BLACK
+                entries.append(f"{square_name(sq)}={_cased(kind.letter, side)}")
         if run:
             row.append(str(run))
         ranks.append("".join(row))
-
-    if include_hidden:
-        entries = []
-        for r in range(RANKS - 1, -1, -1):
-            for f in range(FILES):
-                sq = r * FILES + f
-                if state.board[sq] not in DARK_CELL:
-                    continue
-                kind = state.hidden.get(sq)
-                if kind is None:
-                    raise ValueError(
-                        f"cannot encode hidden section: identity of {square_name(sq)} "
-                        "is undetermined"
-                    )
-                side = Side.RED if state.board[sq] > 0 else Side.BLACK
-                entries.append(f"{square_name(sq)}={_cased(kind.letter, side)}")
-        hidden_field = ",".join(entries) if entries else "-"
-    else:
-        hidden_field = "-"
 
     return " ".join(
         (
@@ -135,9 +125,9 @@ def encode_state(state: GameState, include_hidden: bool = True) -> str:
             state.side_to_move.letter,
             str(state.plies_since_capture),
             str(state.ply_count),
-            _captures_field(state.captured_by_red, Side.BLACK),
-            _captures_field(state.captured_by_black, Side.RED),
-            hidden_field,
+            _captures_field(state.captures[Side.RED], Side.BLACK),
+            _captures_field(state.captures[Side.BLACK], Side.RED),
+            ",".join(entries) or "-",
         )
     )
 
@@ -199,11 +189,11 @@ def _parse_captures(field: str, field_name: str, owner: Side) -> tuple[Capture, 
     return tuple(entries)
 
 
-def _parse_hidden(field: str, board: list[int]) -> dict[int, PieceKind]:
-    dark_squares = {sq for sq in range(NUM_SQUARES) if board[sq] in DARK_CELL}
+def _parse_hidden(field: str, board: list[int]) -> tuple[PieceKind | None, ...]:
+    hidden: list[PieceKind | None] = [None] * NUM_SQUARES
     if field == "-":
-        return {}
-    hidden: dict[int, PieceKind] = {}
+        return tuple(hidden)
+    dark_squares = {sq for sq in range(NUM_SQUARES) if board[sq] in DARK_CELL}
     for entry in field.split(","):
         name, sep, letter = entry.partition("=")
         if not sep or len(letter) != 1:
@@ -214,7 +204,7 @@ def _parse_hidden(field: str, board: list[int]) -> dict[int, PieceKind]:
             raise JfenError(f"hidden: {exc}") from None
         if sq not in dark_squares:
             raise JfenError(f"hidden: {name} is not a face-down square")
-        if sq in hidden:
+        if hidden[sq] is not None:
             raise JfenError(f"hidden: duplicate entry for {name}")
         if (board[sq] > 0) is not letter.isupper():
             raise JfenError(f"hidden: case of {entry!r} does not match the piece's side")
@@ -225,11 +215,10 @@ def _parse_hidden(field: str, board: list[int]) -> dict[int, PieceKind]:
         if kind is PieceKind.KING:
             raise JfenError("hidden: a King cannot be face-down")
         hidden[sq] = kind
-    missing = dark_squares - hidden.keys()
+    missing = sorted(square_name(sq) for sq in dark_squares if hidden[sq] is None)
     if missing:
-        names = ", ".join(sorted(square_name(sq) for sq in missing))
-        raise JfenError(f"hidden: missing entries for {names}")
-    return hidden
+        raise JfenError(f"hidden: missing entries for {', '.join(missing)}")
+    return tuple(hidden)
 
 
 def _check_material(state: GameState, side: Side, has_hidden: bool) -> None:
@@ -259,7 +248,7 @@ def _check_material(state: GameState, side: Side, has_hidden: bool) -> None:
                     f"board: {side.name} King on {square_name(sq)} is outside both palaces"
                 )
 
-    captured_kings = sum(1 for k, _ in state.captures_by(side.opponent)
+    captured_kings = sum(1 for k, _ in state.captures[side.opponent]
                          if k is PieceKind.KING)
     if kings_on_board + captured_kings != 1:
         raise JfenError(f"board: {side.name} must have exactly one King on board or captured")
@@ -282,7 +271,7 @@ def _check_counters(state: GameState) -> None:
     the no-capture counter restarts at each capture, so it counts every ply
     of a game without captures and fewer plies of any other."""
     psc, plies = state.plies_since_capture, state.ply_count
-    if state.captured_by_red or state.captured_by_black:
+    if any(state.captures):
         if psc >= plies:
             raise JfenError(f"plies-since-capture {psc} must be below the ply count "
                             f"{plies} once a piece has been captured")
@@ -328,8 +317,8 @@ def decode_state(text: str, rules: Rules = STANDARD_RULES) -> GameState:
             f"plies-since-capture {plies_since_capture} exceeds the draw limit {rules.draw_plies}"
         )
 
-    captured_by_red = _parse_captures(capr_f, "captured-by-red", Side.BLACK)
-    captured_by_black = _parse_captures(capb_f, "captured-by-black", Side.RED)
+    captures = (_parse_captures(capr_f, "captured-by-red", Side.BLACK),
+                _parse_captures(capb_f, "captured-by-black", Side.RED))
     hidden = _parse_hidden(hidden_f, board)
 
     board = tuple(board)
@@ -340,8 +329,7 @@ def decode_state(text: str, rules: Rules = STANDARD_RULES) -> GameState:
         side_to_move=side_to_move,
         ply_count=ply_count,
         plies_since_capture=plies_since_capture,
-        captured_by_red=captured_by_red,
-        captured_by_black=captured_by_black,
+        captures=captures,
         status=ONGOING,
         rules=rules,
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
 from dataclasses import asdict, dataclass
 from multiprocessing import Pool
@@ -161,6 +162,13 @@ def play_random_game(
     )
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on, which can be fewer than the host's."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _play_indexed(args: tuple[int, int, Rules]) -> GameRecord:
     index, seed, rules = args
     return play_random_game(seed, rules, game_index=index)
@@ -177,15 +185,16 @@ def run_simulation(
     The branching factor is pooled over all plies of all games; game length
     is the per-game mean; the information-set statistic is reported both as
     the mean of per-ply log10 sizes and as the log10 of the exact
-    arithmetic-mean size.  `workers` only distributes the games; it cannot
-    change any output.  Returns (summary, series rows, game records).
+    arithmetic-mean size.  `workers` only distributes the games, capped at
+    the games and the usable CPUs; it cannot change any output.  Returns
+    (summary, series rows, game records).
     """
     if games < 1:
         raise ValueError("games must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
     tasks = [(i, game_seed(master_seed, i), rules) for i in range(games)]
-    workers = min(workers, games)
+    workers = min(workers, games, usable_cpus())
     if workers == 1:
         records = [_play_indexed(t) for t in tasks]
     else:
@@ -273,6 +282,6 @@ def write_summary_json(
         **asdict(summary),
         "master_seed": master_seed,
         "draw_plies": rules.draw_plies,
-        "rules_flags": rules.flags(),
+        "rules_flags": {"classic_dark_roles": rules.classic_dark_roles},
     }
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

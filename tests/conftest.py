@@ -27,7 +27,7 @@ def build_state(
     black: dict[str, str] | None = None,
     to_move: Side = Side.RED,
     plies_since_capture: int = 0,
-    ply_count: int = 0,
+    ply_count: int | None = None,
     rules: Rules = STANDARD_RULES,
 ) -> GameState:
     """Construct an arbitrary position directly (status left Ongoing).
@@ -36,10 +36,12 @@ def build_state(
     'C','P') for revealed pieces, or 'dark:<letter>' for a face-down piece
     with that true kind.  Pieces missing from the board are auto-completed
     into the opposing capture list (revealed face) so piece conservation
-    holds and the state encodes/decodes cleanly.
+    holds and the state encodes/decodes cleanly.  `ply_count` defaults to
+    the smallest count `decode_state` accepts with those captures, side to
+    move and `plies_since_capture`.
     """
     board = [0] * NUM_SQUARES
-    hidden: dict[int, PieceKind] = {}
+    hidden: list[PieceKind | None] = [None] * NUM_SQUARES
     on_board = {Side.RED: [], Side.BLACK: []}
     for side, pieces in ((Side.RED, red or {}), (Side.BLACK, black or {})):
         for name, entry in pieces.items():
@@ -65,16 +67,24 @@ def build_state(
         entries.extend(Capture(kind, False) for kind in pool.expand())
         return tuple(entries)
 
+    captures = (missing(Side.BLACK), missing(Side.RED))
+    if ply_count is None:
+        # Equal to the no-capture counter before any capture, above it
+        # after one; odd exactly when Black is to move.
+        ply_count = plies_since_capture
+        if any(captures):
+            ply_count += 1
+        if ply_count % 2 != to_move:
+            ply_count += 1
     board = tuple(board)
     return GameState(
         board=board,
         squares=side_squares(board),
-        hidden=hidden,
+        hidden=tuple(hidden),
         side_to_move=to_move,
         ply_count=ply_count,
         plies_since_capture=plies_since_capture,
-        captured_by_red=missing(Side.BLACK),
-        captured_by_black=missing(Side.RED),
+        captures=captures,
         status=ONGOING,
         rules=rules,
     )

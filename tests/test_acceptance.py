@@ -193,21 +193,22 @@ def _invariants_ok(state) -> bool:
             totals[side][state.hidden[sq].value] += 1
         else:
             totals[side][mag - 1] += 1
-    for kind, _ in state.captured_by_black:
+    for kind, _ in state.captures[Side.BLACK]:
         totals[Side.RED][kind.value] += 1
-    for kind, _ in state.captured_by_red:
+    for kind, _ in state.captures[Side.RED]:
         totals[Side.BLACK][kind.value] += 1
     return tuple(totals[Side.RED]) == expect and tuple(totals[Side.BLACK]) == expect
 
 
 def _shuffled_hidden(state, rng) -> object:
-    hidden = {}
+    hidden = list(state.hidden)
     for home in DARK_HOME:
-        squares = [sq for sq in home if sq in state.hidden]
-        kinds = [state.hidden[sq] for sq in squares]
+        squares = [sq for sq in home if hidden[sq] is not None]
+        kinds = [hidden[sq] for sq in squares]
         rng.shuffle(kinds)
-        hidden.update(zip(squares, kinds))
-    return replace(state, hidden=hidden)
+        for sq, kind in zip(squares, kinds):
+            hidden[sq] = kind
+    return replace(state, hidden=tuple(hidden))
 
 
 def test_criterion_8_engine_suite(capsys, reproduction_run) -> None:

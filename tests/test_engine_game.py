@@ -7,8 +7,9 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from conftest import build_state, mv
+from conftest import build_state, mv, random_state
 from jieqi import (
     IllegalMoveError,
     KindMultiset,
@@ -28,13 +29,13 @@ from jieqi.board import DARK_CODE, DARK_HOME, make_cell, square_name
 def swap_hidden(state, sq_name: str, kind: PieceKind):
     """Rearrange a state's hidden assignment so `sq_name` holds `kind`."""
     sq = parse_square(sq_name)
-    hidden = dict(state.hidden)
+    hidden = list(state.hidden)
     donor = next(
-        s for s, k in hidden.items()
+        s for s, k in enumerate(hidden)
         if k is kind and (state.board[s] > 0) == (state.board[sq] > 0)
     )
     hidden[donor], hidden[sq] = hidden[sq], hidden[donor]
-    return replace(state, hidden=hidden)
+    return replace(state, hidden=tuple(hidden))
 
 
 def board_multiset(state, side: Side) -> KindMultiset:
@@ -57,7 +58,7 @@ class TestApplyMove:
         assert outcome.revealed is PieceKind.PAWN
         assert nxt.board[parse_square("b9")] == make_cell(Side.RED, PieceKind.PAWN)
         # the captured black piece was face-down: Red saw it, Black did not
-        assert nxt.captured_by_red == (outcome.captured,)
+        assert nxt.captures == ((outcome.captured,), ())
         assert outcome.captured.was_dark
         red_view = observe(nxt, Side.RED)
         assert red_view.opp_dark_captured_by_viewer.total() == 1
@@ -86,9 +87,10 @@ class TestApplyMove:
 
     def test_apply_is_pure(self) -> None:
         state = initial_state(9)
-        before = (state.board, dict(state.hidden), state.ply_count)
+        before = hash(state)
         apply_move(state, mv("a3a4"))
-        assert (state.board, state.hidden, state.ply_count) == before
+        assert hash(state) == before
+        assert state == initial_state(9)
 
     def test_illegal_moves_rejected(self) -> None:
         state = initial_state(0)
@@ -268,6 +270,17 @@ class TestDeterminismAndConservation:
             replayed, _ = apply_move(replayed, m)
         assert replayed == state
 
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), plies=st.integers(0, 120))
+    def test_successors_of_distinct_moves_are_distinct_states(self, seed: int,
+                                                              plies: int) -> None:
+        # States are hashable values, and no two legal moves lead to the
+        # same one: the successors form a set with one member per move.
+        state = random_state(seed, plies)
+        assume(not state.status.over)
+        moves = legal_moves(state)
+        assert len({apply_move(state, m)[0] for m in moves}) == len(moves)
+
     def test_piece_conservation_and_dark_immobility(self) -> None:
         for seed in range(12):
             state = initial_state(seed)
@@ -279,7 +292,7 @@ class TestDeterminismAndConservation:
                 state, _ = apply_move(state, moves[rng.randrange(len(moves))])
                 for side in (Side.RED, Side.BLACK):
                     captured = [
-                        k for k, _ in state.captures_by(side.opponent)
+                        k for k, _ in state.captures[side.opponent]
                         if k is not PieceKind.KING
                     ]
                     total = board_multiset(state, side).expand() + captured

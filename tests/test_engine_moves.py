@@ -443,9 +443,9 @@ def _with_blockers(side: Side, cell: int, sq: int, blockers: int, rng: random.Ra
             dark = at in DARK_HOME[owner] and rng.random() < 0.5
             board[at] = DARK_CELL[owner] if dark else rng.choice(NON_KING_CELLS[owner])
     board = tuple(board)
-    return GameState(board=board, squares=side_squares(board), hidden={},
+    return GameState(board=board, squares=side_squares(board), hidden=(None,) * NUM_SQUARES,
                      side_to_move=side, ply_count=0, plies_since_capture=0,
-                     captured_by_red=(), captured_by_black=(), status=ONGOING, rules=rules)
+                     captures=((), ()), status=ONGOING, rules=rules)
 
 
 class TestEveryPlan:

@@ -39,7 +39,7 @@ def _mirror(state):
     for sq, cell in enumerate(state.board):
         r, f = divmod(sq, 9)
         flipped[(9 - r) * 9 + f] = -cell
-    hidden = {(9 - sq // 9) * 9 + sq % 9: k for sq, k in state.hidden.items()}
+    hidden = tuple(state.hidden[(9 - sq // 9) * 9 + sq % 9] for sq in range(NUM_SQUARES))
     flipped = tuple(flipped)
     return replace(
         state,
@@ -47,8 +47,7 @@ def _mirror(state):
         squares=side_squares(flipped),
         hidden=hidden,
         side_to_move=state.side_to_move.opponent,
-        captured_by_red=state.captured_by_black,
-        captured_by_black=state.captured_by_red,
+        captures=state.captures[::-1],
     )
 
 
@@ -276,7 +275,7 @@ class TestProperties:
                     opp_sq = [sq for sq, c in enumerate(state.board)
                               if c == DARK_CELL[viewer.opponent]]
                     own_lost = [
-                        k for k, dark in state.captures_by(viewer.opponent) if dark
+                        k for k, dark in state.captures[viewer.opponent] if dark
                     ]
                     pools = hidden_pools(observe(state, viewer))
                     assert pools.own_pool == KindMultiset.from_kinds(

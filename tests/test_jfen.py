@@ -99,7 +99,9 @@ class TestRoundTrip:
     def test_reachable_states_round_trip(self, seed: int, plies: int, classic: bool) -> None:
         rules = Rules(classic_dark_roles=classic)
         state = random_state(seed, plies, rules)
-        assert decode_state(encode_state(state, include_hidden=True), rules) == state
+        decoded = decode_state(encode_state(state, include_hidden=True), rules)
+        assert decoded == state
+        assert hash(decoded) == hash(state)
 
 
 class TestDecodeWithoutHidden:
@@ -117,7 +119,7 @@ class TestDecodeWithoutHidden:
         # moving toward an empty square with a revealed piece is still fine
         partial = decode_state(
             encode_state(build_state(red={"e0": "K", "e4": "R", "a4": "R"},
-                                     black={"e8": "K", "a6": "dark:P"}, ply_count=2),
+                                     black={"e8": "K", "a6": "dark:P"}),
                          include_hidden=False)
         )
         nxt, _ = apply_move(partial, mv("e4d4"))
@@ -132,7 +134,7 @@ class TestDecodeWithoutHidden:
             state = random_state(31, 30)
         bare = decode_state(encode_state(state, include_hidden=False))
         assert bare.board == state.board
-        assert bare.hidden == {}
+        assert bare.hidden == (None,) * len(bare.board)
         assert legal_moves(bare) == legal_moves(state)
         assert observe(bare, Side.BLACK) == observe(state, Side.BLACK)
 
@@ -156,7 +158,7 @@ class TestStatusDerivation:
     def test_draw_detected(self) -> None:
         state = build_state(red={"e0": "K", "a0": "R"},
                             black={"e8": "K", "i9": "r"},
-                            plies_since_capture=39, ply_count=78)
+                            plies_since_capture=39)
         final, _ = apply_move(state, mv("a0a1"))
         assert decode_state(encode_state(final)).status.label() == "draw"
 
@@ -168,7 +170,6 @@ class TestStatusDerivation:
                 "e8": "K", "c0": "p", "d1": "p", "g0": "p", "f1": "p",
                 "d2": "p", "f2": "r",
             },
-            ply_count=2,
         )
         assert legal_moves(blocked) == []
         decoded = decode_state(encode_state(blocked))

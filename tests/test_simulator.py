@@ -129,32 +129,49 @@ class TestInfosetReuse:
             assert rec.infoset_total == total, seed
 
 
+def _fake_pool(monkeypatch, cpus: int) -> list[int]:
+    """Pin the usable CPU count to `cpus` and swap `Pool` for one that
+    records the size it was asked for and maps in this process; return
+    that record."""
+    sizes: list[int] = []
+
+    class FakePool:
+        def __init__(self, processes: int) -> None:
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc) -> None:
+            return None
+
+        def map(self, fn, tasks, chunksize=1):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(jieqi.simulator, "Pool", FakePool)
+    monkeypatch.setattr(jieqi.simulator, "usable_cpus", lambda: cpus)
+    return sizes
+
+
 class TestRunSimulation:
     def test_pool_no_larger_than_games(self, monkeypatch) -> None:
-        sizes: list[int] = []
-
-        class FakePool:
-            """Records the size it was asked for; maps in this process."""
-
-            def __init__(self, processes: int) -> None:
-                sizes.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc) -> None:
-                return None
-
-            def map(self, fn, tasks, chunksize=1):
-                return [fn(t) for t in tasks]
-
-        monkeypatch.setattr(jieqi.simulator, "Pool", FakePool)
+        sizes = _fake_pool(monkeypatch, cpus=8)
         _, _, records = run_simulation(games=2, master_seed=3, workers=8)
         assert sizes == [2]
         assert [r.game_index for r in records] == [0, 1]
         # one game needs one worker: the serial path, no pool
         run_simulation(games=1, master_seed=3, workers=4)
         assert sizes == [2]
+
+    def test_pool_no_larger_than_cpus(self, monkeypatch) -> None:
+        sizes = _fake_pool(monkeypatch, cpus=3)
+        _, _, records = run_simulation(games=4, master_seed=3, workers=5000)
+        assert sizes == [3]
+        assert [r.game_index for r in records] == [0, 1, 2, 3]
+        # one usable CPU: the serial path, no pool
+        monkeypatch.setattr(jieqi.simulator, "usable_cpus", lambda: 1)
+        run_simulation(games=4, master_seed=3, workers=5000)
+        assert sizes == [3]
 
     def test_worker_count_cannot_change_results(self) -> None:
         s1, r1, g1 = run_simulation(games=100, master_seed=3, workers=1)
