@@ -27,8 +27,11 @@ States are immutable, hashable values: `hidden` is indexed by square,
 with `None` where no face-down identity is carried, and `captures` by the
 capturing side.  `apply_move` returns a fresh state.  Randomness enters
 only through the explicit seed of `initial_state`, which fixes every hidden
-identity up front.  `game_status` is the one termination rule: both
-`apply_move` and the state-text decoder derive a state's status through it.
+identity up front.  A state carries its status and the side to move's
+legal moves, generated once when the state is made: `game_status` is the
+one termination rule and the one move generation, and `make_state` (for
+`initial_state` and the state-text decoder) and `apply_move` are the only
+places that build a state.
 """
 
 from __future__ import annotations
@@ -165,9 +168,13 @@ class GameState:
     `squares[side]` lists the squares of `side`'s pieces on `board`, King
     included, in ascending (board) order, so the move generator visits a
     side's pieces without scanning the board.  It is always
-    `side_squares(board)`: the constructors derive it and `apply_move`
-    keeps it up to date.  `captures[side]` lists the pieces `side` took,
-    in capture order, each with the face it had when taken.
+    `side_squares(board)`: `make_state` derives it and `apply_move` keeps
+    it up to date.  `captures[side]` lists the pieces `side` took, in
+    capture order, each with the face it had when taken.
+
+    `status` and `moves` are what `game_status` derives from the rest:
+    `moves` holds the side to move's legal moves in generation order, and
+    is empty once the game is over.
     """
 
     board: tuple[int, ...]
@@ -178,6 +185,7 @@ class GameState:
     plies_since_capture: int
     captures: tuple[tuple[Capture, ...], tuple[Capture, ...]]
     status: TerminalStatus
+    moves: tuple[Move, ...]
     rules: Rules
 
     def is_arbiter_complete(self) -> bool:
@@ -233,18 +241,25 @@ def initial_state(seed: int, rules: Rules = STANDARD_RULES) -> GameState:
         for sq, kind in zip(DARK_HOME[side], kinds):
             board[sq] = DARK_CELL[side]
             hidden[sq] = kind
-    board = tuple(board)
-    return GameState(
-        board=board,
-        squares=side_squares(board),
-        hidden=tuple(hidden),
-        side_to_move=Side.RED,
-        ply_count=0,
-        plies_since_capture=0,
-        captures=((), ()),
-        status=ONGOING,
-        rules=rules,
-    )
+    return make_state(tuple(board), tuple(hidden), Side.RED, 0, 0, ((), ()), rules)
+
+
+def make_state(
+    board: tuple[int, ...],
+    hidden: tuple[PieceKind | None, ...],
+    side_to_move: Side,
+    ply_count: int,
+    plies_since_capture: int,
+    captures: tuple[tuple[Capture, ...], tuple[Capture, ...]],
+    rules: Rules,
+) -> GameState:
+    """The state with these fields, its derived ones (`squares`, `status`
+    and `moves`) worked out from them."""
+    squares = side_squares(board)
+    status, moves = game_status(board, squares[side_to_move], side_to_move,
+                                plies_since_capture, rules)
+    return GameState(board, squares, hidden, side_to_move, ply_count,
+                     plies_since_capture, captures, status, moves, rules)
 
 
 def side_squares(board: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -358,36 +373,30 @@ def _plan_table() -> tuple[dict[int, tuple[tuple, ...]], ...]:
 _PLANS = _plan_table()
 
 
-def legal_moves(state: GameState) -> list[Move]:
-    """All legal moves for the side to move.
+def legal_moves(state: GameState) -> tuple[Move, ...]:
+    """All legal moves for the side to move, in generation order.
 
     Face-down pieces move by their square's role, revealed pieces by their
     true kind; the result therefore depends only on observation-visible
     data.  Moves that expose the Kings to each other are included -- they
     lose to the opponent's flying-general capture, which is itself listed
-    here whenever the Kings stand exposed.
+    here whenever the Kings stand exposed.  The state carries the list.
     """
     if state.status.over:
         raise ValueError("game is over; no legal moves")
-    side = state.side_to_move
-    return _gen_all(state.board, state.squares[side], side, state.rules)
+    return state.moves
 
 
 def _gen_all(
     board: tuple[int, ...], squares: tuple[int, ...], side: Side, rules: Rules,
-    first: bool = False,
-) -> list[Move]:
-    """The moves of `side`, whose pieces stand on `squares`, in board order;
-    with `first`, only those of the first piece that has any (the stalemate
-    probe)."""
+) -> tuple[Move, ...]:
+    """The moves of `side`, whose pieces stand on `squares`, in board order."""
     moves: list[Move] = []
     sign = CELL_SIGN[side]
     plans = _PLANS[rules.classic_dark_roles]
     for sq in squares:
         _gen_piece(board, sign, plans[board[sq]][sq], moves)
-        if first and moves:
-            break
-    return moves
+    return tuple(moves)
 
 
 def _gen_piece(board: tuple[int, ...], sign: int, plan: tuple, out: list[Move]) -> None:
@@ -450,10 +459,12 @@ def game_status(
     side_to_move: Side,
     plies_since_capture: int,
     rules: Rules,
-) -> TerminalStatus:
+) -> tuple[TerminalStatus, tuple[Move, ...]]:
     """The termination rule, checked in order: King captured (a King's cell
-    is missing from the board), no-capture draw, side to move stalemated.
-    `squares` are the side to move's occupied squares.
+    is missing from the board), no-capture draw, side to move stalemated
+    (it has no legal move).  Returns the status and the side to move's
+    legal moves, `()` once the game is over.  `squares` are the side to
+    move's occupied squares.
 
     A King can reach the enemy palace only by the flying-general capture,
     so a winner whose King stands in the loser's palace won by
@@ -463,44 +474,34 @@ def game_status(
         winner = Side.BLACK if _RED_KING not in board else Side.RED
         king = KING_CELL[winner]
         if king in board and in_palace(board.index(king), winner.opponent):
-            return TerminalStatus.win(winner, WinReason.MEET_MARSHALS)
-        return TerminalStatus.win(winner, WinReason.KING_CAPTURED)
+            return TerminalStatus.win(winner, WinReason.MEET_MARSHALS), ()
+        return TerminalStatus.win(winner, WinReason.KING_CAPTURED), ()
     if plies_since_capture >= rules.draw_plies:
-        return DRAW
-    if not _gen_all(board, squares, side_to_move, rules, first=True):
-        return TerminalStatus.win(side_to_move.opponent, WinReason.OPPONENT_STALEMATED)
-    return ONGOING
+        return DRAW, ()
+    moves = _gen_all(board, squares, side_to_move, rules)
+    if not moves:
+        return TerminalStatus.win(side_to_move.opponent, WinReason.OPPONENT_STALEMATED), ()
+    return ONGOING, moves
 
 
 def apply_move(state: GameState, move: Move) -> tuple[GameState, MoveOutcome]:
     """Play `move` and return (successor, outcome).
 
     A face-down mover is revealed; a captured piece goes to the mover's
-    capture list with the face it had.  The successor's status comes from
-    `game_status`.
+    capture list with the face it had.  The successor's status and moves
+    come from `game_status`.
 
     A move that reveals or captures a face-down piece whose identity the
     state does not carry raises MissingHiddenInfoError.
     """
-    if state.status.over:
-        raise IllegalMoveError("game is over")
+    if move not in state.moves:
+        raise IllegalMoveError("game is over" if state.status.over
+                               else f"illegal move {move.text()}")
     from_sq, to_sq = move
-    if not (0 <= from_sq < NUM_SQUARES and 0 <= to_sq < NUM_SQUARES):
-        raise IllegalMoveError(f"square off board in {move}")
     mover = state.side_to_move
     rules = state.rules
     board = state.board
     from_cell = board[from_sq]
-    sign = CELL_SIGN[mover]
-    if from_cell * sign <= 0:
-        raise IllegalMoveError(
-            f"{move.text()}: no {mover.name} piece on {square_name(from_sq)}"
-        )
-    candidates: list[Move] = []
-    _gen_piece(board, sign, _PLANS[rules.classic_dark_roles][from_cell][from_sq], candidates)
-    if move not in candidates:
-        raise IllegalMoveError(f"illegal move {move.text()}")
-
     to_cell = board[to_sq]
     board = list(board)
     hidden = state.hidden
@@ -545,15 +546,17 @@ def apply_move(state: GameState, move: Move) -> tuple[GameState, MoveOutcome]:
         hidden = tuple(hidden)
 
     board = tuple(board)
+    status, moves = game_status(board, theirs, next_side, plies_since_capture, rules)
     new_state = GameState(
         board=board,
-        squares=(tuple(own), theirs) if sign > 0 else (theirs, tuple(own)),
+        squares=(tuple(own), theirs) if mover is Side.RED else (theirs, tuple(own)),
         hidden=hidden,
         side_to_move=next_side,
         ply_count=state.ply_count + 1,
         plies_since_capture=plies_since_capture,
         captures=captures,
-        status=game_status(board, theirs, next_side, plies_since_capture, rules),
+        status=status,
+        moves=moves,
         rules=rules,
     )
     return new_state, MoveOutcome(revealed, captured)
@@ -612,15 +615,11 @@ def perft_counts(state: GameState, max_depth: int) -> list[int]:
     counts = [0] * (max_depth + 1)
 
     def walk(s: GameState, depth: int) -> None:
-        side = s.side_to_move
-        moves = _gen_all(s.board, s.squares[side], side, s.rules)
-        counts[depth + 1] += len(moves)
+        # A terminal state has no moves, so it ends its sequences.
+        counts[depth + 1] += len(s.moves)
         if depth + 1 < max_depth:
-            for m in moves:
-                nxt, _ = apply_move(s, m)
-                if not nxt.status.over:
-                    walk(nxt, depth + 1)
+            for m in s.moves:
+                walk(apply_move(s, m)[0], depth + 1)
 
-    if not state.status.over:
-        walk(state, 0)
+    walk(state, 0)
     return counts[1:]

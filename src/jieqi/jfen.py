@@ -23,19 +23,18 @@ hidden    the true identities of all face-down pieces: comma-separated
           exactly once; or '-' when omitted.  A state decoded without its
           hidden section supports observation-level operations only.
 
-Terminal status is not encoded; decoding re-derives it from the board and
-counters with `engine.game_status`, the same rule `apply_move` applies, so
-a decoded state carries the status play assigned it.  Piece conservation is
-checked through `infoset.hidden_pools`, the one derivation of a side's
-unaccounted pool (starting material minus revealed minus captured pieces).
+Terminal status and legal moves are not encoded; decoding builds the state
+with `engine.make_state`, which derives them by the same rule `apply_move`
+applies, so a decoded state carries the status and moves play gave it.
+Piece conservation is checked through `infoset.hidden_pools`, the one
+derivation of a side's unaccounted pool (starting material minus revealed
+minus captured pieces).
 
 Encoding is canonical and bit-exact: a given state always encodes to the
 same single-line string, and decode(encode(state)) round-trips exactly.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 from .board import (
     DARK_CELL,
@@ -53,14 +52,12 @@ from .board import (
 )
 from .combinatorics import KindMultiset
 from .engine import (
-    ONGOING,
     Capture,
     GameState,
     Rules,
     STANDARD_RULES,
-    game_status,
+    make_state,
     observe,
-    side_squares,
 )
 from .infoset import hidden_pools
 
@@ -321,27 +318,15 @@ def decode_state(text: str, rules: Rules = STANDARD_RULES) -> GameState:
                 _parse_captures(capb_f, "captured-by-black", Side.RED))
     hidden = _parse_hidden(hidden_f, board)
 
-    board = tuple(board)
-    state = GameState(
-        board=board,
-        squares=side_squares(board),
-        hidden=hidden,
-        side_to_move=side_to_move,
-        ply_count=ply_count,
-        plies_since_capture=plies_since_capture,
-        captures=captures,
-        status=ONGOING,
-        rules=rules,
-    )
+    state = make_state(tuple(board), hidden, side_to_move, ply_count,
+                       plies_since_capture, captures, rules)
     for side in (Side.RED, Side.BLACK):
         _check_material(state, side, hidden_f != "-")
     if not any(king in state.board for king in KING_CELL):
         # Play stops at the first King capture.
         raise JfenError("board: at most one King can be captured")
     _check_counters(state)
-    return replace(state, status=game_status(
-        board, state.squares[side_to_move], side_to_move, plies_since_capture, rules
-    ))
+    return state
 
 
 #: The shuffled-start position with the hidden section omitted.

@@ -19,7 +19,7 @@ from jieqi import (
     parse_square,
 )
 from jieqi.board import DARK_CELL, NUM_SQUARES, make_cell
-from jieqi.engine import Capture, ONGOING, side_squares
+from jieqi.engine import Capture, make_state
 
 
 def build_state(
@@ -30,7 +30,8 @@ def build_state(
     ply_count: int | None = None,
     rules: Rules = STANDARD_RULES,
 ) -> GameState:
-    """Construct an arbitrary position directly (status left Ongoing).
+    """Construct an arbitrary position directly, with the status and moves
+    that `make_state` derives, as play would.
 
     `red` / `black` map square names to piece letters ('K','G','M','R','H',
     'C','P') for revealed pieces, or 'dark:<letter>' for a face-down piece
@@ -76,18 +77,8 @@ def build_state(
             ply_count += 1
         if ply_count % 2 != to_move:
             ply_count += 1
-    board = tuple(board)
-    return GameState(
-        board=board,
-        squares=side_squares(board),
-        hidden=tuple(hidden),
-        side_to_move=to_move,
-        ply_count=ply_count,
-        plies_since_capture=plies_since_capture,
-        captures=captures,
-        status=ONGOING,
-        rules=rules,
-    )
+    return make_state(tuple(board), tuple(hidden), to_move, ply_count,
+                      plies_since_capture, captures, rules)
 
 
 def without(pool: KindMultiset, kind: PieceKind) -> KindMultiset:

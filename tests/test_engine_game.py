@@ -3,6 +3,7 @@ determinism and conservation invariants."""
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import replace
 
@@ -24,6 +25,7 @@ from jieqi import (
     parse_square,
 )
 from jieqi.board import DARK_CODE, DARK_HOME, make_cell, square_name
+from jieqi.engine import perft_counts
 
 
 def swap_hidden(state, sq_name: str, kind: PieceKind):
@@ -301,3 +303,43 @@ class TestDeterminismAndConservation:
                     if abs(cell) == DARK_CODE:
                         side = Side.RED if cell > 0 else Side.BLACK
                         assert sq in DARK_HOME[side], square_name(sq)
+
+
+class TestKnuthEstimator:
+    """Knuth (1975): the product of the branching factors met on a uniform
+    random playout of depth d, or 0 if the game ends first, has the number
+    of depth-d move paths as its expected value.  `perft_counts` gives that
+    number exactly, so the sampler's branching record and the exact tree
+    count must agree within sampling error."""
+
+    PLAYOUTS = 10_000
+    Z_BOUND = 4.0
+
+    @pytest.mark.parametrize("seed, plies", [(0, 0), (3, 20), (5, 40)],
+                             ids=["start", "ply-20", "ply-40"])
+    def test_mean_playout_product_matches_perft(self, seed: int, plies: int) -> None:
+        start = random_state(seed, plies)
+        assert not start.status.over
+        depths = (2, 3)
+        exact = perft_counts(start, depths[-1])
+        rng = random.Random(f"knuth-{seed}-{plies}")
+        sums = {d: [0, 0] for d in depths}     # Σ product, Σ product²
+        for _ in range(self.PLAYOUTS):
+            state, product = start, 1
+            for d in range(1, depths[-1] + 1):
+                if state.status.over:
+                    product = 0
+                else:
+                    moves = legal_moves(state)
+                    product *= len(moves)
+                    if d < depths[-1]:
+                        state, _ = apply_move(state, moves[rng.randrange(len(moves))])
+                if d in sums:
+                    sums[d][0] += product
+                    sums[d][1] += product * product
+        n = self.PLAYOUTS
+        for d, (total, squares) in sums.items():
+            mean = total / n
+            se = math.sqrt((squares - n * mean * mean) / (n - 1) / n)
+            z = (mean - exact[d - 1]) / se
+            assert abs(z) < self.Z_BOUND, (d, mean, se, exact[d - 1])

@@ -34,7 +34,7 @@ from jieqi.board import (
     ROLE_OF_SQUARE,
     in_palace,
 )
-from jieqi.engine import ONGOING, GameState, game_status, side_squares
+from jieqi.engine import ONGOING, GameState, _gen_all, make_state, side_squares
 
 
 def _dests(state, from_name: str) -> set[str]:
@@ -96,11 +96,11 @@ class TestInitialPosition:
         b = legal_moves(initial_state(5))
         assert a == b
 
-    def test_returns_a_fresh_list(self) -> None:
+    def test_returns_a_tuple(self) -> None:
+        # The state carries its moves, so the result must not be editable.
         state = initial_state(5)
-        first = legal_moves(state)
-        first.clear()
-        assert len(legal_moves(state)) == 46
+        assert isinstance(legal_moves(state), tuple)
+        assert legal_moves(state) is state.moves
 
     def test_each_side_shuffles_its_own_full_pool(self) -> None:
         from jieqi import KindMultiset, START_POOL
@@ -297,7 +297,10 @@ def _fully_blocked():
 
 class TestFullyBlockedSide:
     def test_zero_moves(self) -> None:
-        assert legal_moves(_fully_blocked()) == []
+        blocked = _fully_blocked()
+        assert blocked.moves == ()
+        assert blocked.status.reason is WinReason.OPPONENT_STALEMATED
+        assert blocked.status.winner is Side.BLACK
 
 
 class TestAgainstNaiveGenerator:
@@ -329,10 +332,7 @@ class TestAgainstNaiveGenerator:
 
 
 def _stalemated(state) -> bool:
-    side = state.side_to_move
-    status = game_status(state.board, state.squares[side], side,
-                         state.plies_since_capture, state.rules)
-    return status.reason is WinReason.OPPONENT_STALEMATED
+    return state.status.reason is WinReason.OPPONENT_STALEMATED
 
 
 _reachable = dict(
@@ -397,9 +397,9 @@ class TestGeneratorOracle:
 
 class TestCarriedSquares:
     """Each state carries its sides' occupied squares, which `apply_move`
-    updates instead of scanning the board: after every move of seeded
-    random play they must equal a fresh scan, and survive a state-text
-    round trip."""
+    updates instead of scanning the board, and its status and legal moves:
+    after every move of seeded random play all three must equal a fresh
+    derivation by `make_state`, and survive a state-text round trip."""
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(seed=st.integers(0, 2**32 - 1), classic=st.booleans())
@@ -408,8 +408,10 @@ class TestCarriedSquares:
         state = initial_state(seed, rules)
         rng = random.Random(seed)
         while True:
-            assert state.squares == side_squares(state.board), state.ply_count
-            assert decode_state(encode_state(state), rules).squares == state.squares
+            assert state == make_state(state.board, state.hidden, state.side_to_move,
+                                       state.ply_count, state.plies_since_capture,
+                                       state.captures, state.rules), state.ply_count
+            assert decode_state(encode_state(state), rules) == state
             if state.status.over:
                 break
             moves = legal_moves(state)
@@ -430,7 +432,9 @@ def _with_blockers(side: Side, cell: int, sq: int, blockers: int, rng: random.Ra
                    rules: Rules) -> GameState:
     """`cell` on `sq`, both Kings somewhere in their palaces, and up to
     `blockers` other pieces of either side: revealed anywhere, or
-    face-down on their own home squares."""
+    face-down on their own home squares.  Play never reaches some of these
+    boards (a King can be missing), so the state is built here, Ongoing,
+    with the moves the generator gives."""
     board = [0] * NUM_SQUARES
     board[sq] = cell
     for king_side in Side:
@@ -443,9 +447,11 @@ def _with_blockers(side: Side, cell: int, sq: int, blockers: int, rng: random.Ra
             dark = at in DARK_HOME[owner] and rng.random() < 0.5
             board[at] = DARK_CELL[owner] if dark else rng.choice(NON_KING_CELLS[owner])
     board = tuple(board)
-    return GameState(board=board, squares=side_squares(board), hidden=(None,) * NUM_SQUARES,
+    squares = side_squares(board)
+    return GameState(board=board, squares=squares, hidden=(None,) * NUM_SQUARES,
                      side_to_move=side, ply_count=0, plies_since_capture=0,
-                     captures=((), ()), status=ONGOING, rules=rules)
+                     captures=((), ()), status=ONGOING,
+                     moves=_gen_all(board, squares[side], side, rules), rules=rules)
 
 
 class TestEveryPlan:

@@ -29,7 +29,7 @@ from jieqi import (
     observe,
 )
 from jieqi.board import DARK_CELL, DARK_CODE, NUM_SQUARES
-from jieqi.engine import side_squares
+from jieqi.engine import make_state
 
 
 def _mirror(state):
@@ -40,15 +40,8 @@ def _mirror(state):
         r, f = divmod(sq, 9)
         flipped[(9 - r) * 9 + f] = -cell
     hidden = tuple(state.hidden[(9 - sq // 9) * 9 + sq % 9] for sq in range(NUM_SQUARES))
-    flipped = tuple(flipped)
-    return replace(
-        state,
-        board=flipped,
-        squares=side_squares(flipped),
-        hidden=hidden,
-        side_to_move=state.side_to_move.opponent,
-        captures=state.captures[::-1],
-    )
+    return make_state(tuple(flipped), hidden, state.side_to_move.opponent, state.ply_count,
+                      state.plies_since_capture, state.captures[::-1], state.rules)
 
 
 def _late_game_states(max_dark: int, want: int, seed0: int = 0):

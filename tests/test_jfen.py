@@ -163,7 +163,6 @@ class TestStatusDerivation:
         assert decode_state(encode_state(final)).status.label() == "draw"
 
     def test_stalemate_detected(self) -> None:
-        # directly built states stay Ongoing; decode re-derives the status
         blocked = build_state(
             red={"e0": "K", "d0": "H", "f0": "H", "e1": "M"},
             black={
@@ -171,7 +170,9 @@ class TestStatusDerivation:
                 "d2": "p", "f2": "r",
             },
         )
-        assert legal_moves(blocked) == []
+        assert blocked.moves == ()
+        assert blocked.status.reason is WinReason.OPPONENT_STALEMATED
+        assert blocked.status.winner is Side.BLACK
         decoded = decode_state(encode_state(blocked))
         assert decoded.status.reason is WinReason.OPPONENT_STALEMATED
         assert decoded.status.winner is Side.BLACK

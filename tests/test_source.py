@@ -72,6 +72,25 @@ def test_generator_builds_no_moves() -> None:
     assert found == []
 
 
+def test_states_built_in_two_places() -> None:
+    # A state's squares, status and moves are derived from its other fields:
+    # `make_state` derives them all, and `apply_move` updates the squares in
+    # place of a scan.  Any other constructor call could build a state whose
+    # derived fields disagree with the rest.
+    found = []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            owner = getattr(top, "name", f"line {top.lineno}")
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if called == "GameState":
+                        found.append(f"{path.name}:{owner}")
+    assert sorted(found) == ["engine.py:apply_move", "engine.py:make_state"]
+
+
 def _moves_in(node: object) -> Iterator[Move]:
     if isinstance(node, Move):
         yield node
