@@ -48,7 +48,7 @@ from .infoset import (
     infoset_size_bruteforce,
     mover_infoset_size,
 )
-from .jfen import INITIAL_JFEN, JfenError, decode_state, encode_state
+from .jfen import JfenError, decode_state, encode_state
 from .simulator import (
     estimate_gtc_log10,
     game_seed,
@@ -63,7 +63,6 @@ __all__ = [
     "CountParams",
     "GameState",
     "HiddenPools",
-    "INITIAL_JFEN",
     "IllegalMoveError",
     "JfenError",
     "KindMultiset",

@@ -28,10 +28,10 @@ with `None` where no face-down identity is carried, and `captures` by the
 capturing side.  `apply_move` returns a fresh state.  Randomness enters
 only through the explicit seed of `initial_state`, which fixes every hidden
 identity up front.  A state carries its status and the side to move's
-legal moves, generated once when the state is made: `game_status` is the
-one termination rule and the one move generation, and `make_state` (for
-`initial_state` and the state-text decoder) and `apply_move` are the only
-places that build a state.
+legal moves, generated once when the state is made.  `make_state` is the
+one place that builds a state, and so the one termination rule and the
+one move generation: `initial_state`, the state-text decoder and
+`apply_move` all call it.
 """
 
 from __future__ import annotations
@@ -168,11 +168,12 @@ class GameState:
     `squares[side]` lists the squares of `side`'s pieces on `board`, King
     included, in ascending (board) order, so the move generator visits a
     side's pieces without scanning the board.  It is always
-    `side_squares(board)`: `make_state` derives it and `apply_move` keeps
-    it up to date.  `captures[side]` lists the pieces `side` took, in
-    capture order, each with the face it had when taken.
+    `side_squares(board)`: `initial_state` and the state-text decoder
+    derive it, and `apply_move` keeps it up to date.  `captures[side]`
+    lists the pieces `side` took, in capture order, each with the face it
+    had when taken.
 
-    `status` and `moves` are what `game_status` derives from the rest:
+    `status` and `moves` are what `make_state` derives from the rest:
     `moves` holds the side to move's legal moves in generation order, and
     is empty once the game is over.
     """
@@ -227,6 +228,9 @@ class Observation:
 # setup
 # ---------------------------------------------------------------------------
 
+_RED_KING, _BLACK_KING = KING_CELL
+
+
 def initial_state(seed: int, rules: Rules = STANDARD_RULES) -> GameState:
     """Shuffled starting position: Kings face-up on e0/e9, each side's 15
     other pieces assigned uniformly at random (from `seed`) to that side's
@@ -241,11 +245,14 @@ def initial_state(seed: int, rules: Rules = STANDARD_RULES) -> GameState:
         for sq, kind in zip(DARK_HOME[side], kinds):
             board[sq] = DARK_CELL[side]
             hidden[sq] = kind
-    return make_state(tuple(board), tuple(hidden), Side.RED, 0, 0, ((), ()), rules)
+    board = tuple(board)
+    return make_state(board, side_squares(board), tuple(hidden), Side.RED, 0, 0,
+                      ((), ()), rules)
 
 
 def make_state(
     board: tuple[int, ...],
+    squares: tuple[tuple[int, ...], tuple[int, ...]],
     hidden: tuple[PieceKind | None, ...],
     side_to_move: Side,
     ply_count: int,
@@ -253,11 +260,29 @@ def make_state(
     captures: tuple[tuple[Capture, ...], tuple[Capture, ...]],
     rules: Rules,
 ) -> GameState:
-    """The state with these fields, its derived ones (`squares`, `status`
-    and `moves`) worked out from them."""
-    squares = side_squares(board)
-    status, moves = game_status(board, squares[side_to_move], side_to_move,
-                                plies_since_capture, rules)
+    """The state with these fields, its `status` and `moves` derived from
+    them.  `squares` must be `side_squares(board)`.
+
+    The termination rule, checked in order: King captured (a King's cell
+    is missing from the board), no-capture draw, side to move stalemated
+    (it has no legal move).  A King can reach the enemy palace only by the
+    flying-general capture, so a winner whose King stands in the loser's
+    palace won by meet-the-marshals; any other King capture is a plain one.
+    """
+    moves: tuple[Move, ...] = ()
+    if _RED_KING not in board or _BLACK_KING not in board:
+        winner = Side.BLACK if _RED_KING not in board else Side.RED
+        king = KING_CELL[winner]
+        reason = (WinReason.MEET_MARSHALS
+                  if king in board and in_palace(board.index(king), winner.opponent)
+                  else WinReason.KING_CAPTURED)
+        status = TerminalStatus.win(winner, reason)
+    elif plies_since_capture >= rules.draw_plies:
+        status = DRAW
+    else:
+        moves = _gen_all(board, squares[side_to_move], side_to_move, rules)
+        status = (ONGOING if moves
+                  else TerminalStatus.win(side_to_move.opponent, WinReason.OPPONENT_STALEMATED))
     return GameState(board, squares, hidden, side_to_move, ply_count,
                      plies_since_capture, captures, status, moves, rules)
 
@@ -450,53 +475,21 @@ def _gen_piece(board: tuple[int, ...], sign: int, plan: tuple, out: list[Move]) 
 # applying moves
 # ---------------------------------------------------------------------------
 
-_RED_KING, _BLACK_KING = KING_CELL
-
-
-def game_status(
-    board: tuple[int, ...],
-    squares: tuple[int, ...],
-    side_to_move: Side,
-    plies_since_capture: int,
-    rules: Rules,
-) -> tuple[TerminalStatus, tuple[Move, ...]]:
-    """The termination rule, checked in order: King captured (a King's cell
-    is missing from the board), no-capture draw, side to move stalemated
-    (it has no legal move).  Returns the status and the side to move's
-    legal moves, `()` once the game is over.  `squares` are the side to
-    move's occupied squares.
-
-    A King can reach the enemy palace only by the flying-general capture,
-    so a winner whose King stands in the loser's palace won by
-    meet-the-marshals; any other King capture is a plain one.
-    """
-    if _RED_KING not in board or _BLACK_KING not in board:
-        winner = Side.BLACK if _RED_KING not in board else Side.RED
-        king = KING_CELL[winner]
-        if king in board and in_palace(board.index(king), winner.opponent):
-            return TerminalStatus.win(winner, WinReason.MEET_MARSHALS), ()
-        return TerminalStatus.win(winner, WinReason.KING_CAPTURED), ()
-    if plies_since_capture >= rules.draw_plies:
-        return DRAW, ()
-    moves = _gen_all(board, squares, side_to_move, rules)
-    if not moves:
-        return TerminalStatus.win(side_to_move.opponent, WinReason.OPPONENT_STALEMATED), ()
-    return ONGOING, moves
-
-
 def apply_move(state: GameState, move: Move) -> tuple[GameState, MoveOutcome]:
     """Play `move` and return (successor, outcome).
 
     A face-down mover is revealed; a captured piece goes to the mover's
-    capture list with the face it had.  The successor's status and moves
-    come from `game_status`.
+    capture list with the face it had.  The successor is built by
+    `make_state`, from the occupied squares updated here in place of a
+    board scan.  A move outside `state.moves`, given as a `Move` or as a
+    plain (from, to) pair, raises IllegalMoveError.
 
     A move that reveals or captures a face-down piece whose identity the
     state does not carry raises MissingHiddenInfoError.
     """
     if move not in state.moves:
         raise IllegalMoveError("game is over" if state.status.over
-                               else f"illegal move {move.text()}")
+                               else f"illegal move {Move(*move).text()}")
     from_sq, to_sq = move
     mover = state.side_to_move
     rules = state.rules
@@ -545,20 +538,9 @@ def apply_move(state: GameState, move: Move) -> tuple[GameState, MoveOutcome]:
         hidden[from_sq] = hidden[to_sq] = None
         hidden = tuple(hidden)
 
-    board = tuple(board)
-    status, moves = game_status(board, theirs, next_side, plies_since_capture, rules)
-    new_state = GameState(
-        board=board,
-        squares=(tuple(own), theirs) if mover is Side.RED else (theirs, tuple(own)),
-        hidden=hidden,
-        side_to_move=next_side,
-        ply_count=state.ply_count + 1,
-        plies_since_capture=plies_since_capture,
-        captures=captures,
-        status=status,
-        moves=moves,
-        rules=rules,
-    )
+    squares = (tuple(own), theirs) if mover is Side.RED else (theirs, tuple(own))
+    new_state = make_state(tuple(board), squares, hidden, next_side, state.ply_count + 1,
+                           plies_since_capture, captures, rules)
     return new_state, MoveOutcome(revealed, captured)
 
 

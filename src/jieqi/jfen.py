@@ -24,8 +24,8 @@ hidden    the true identities of all face-down pieces: comma-separated
           hidden section supports observation-level operations only.
 
 Terminal status and legal moves are not encoded; decoding builds the state
-with `engine.make_state`, which derives them by the same rule `apply_move`
-applies, so a decoded state carries the status and moves play gave it.
+with `engine.make_state`, the builder `apply_move` uses too, so a decoded
+state carries the status and moves play gave it.
 Piece conservation is checked through `infoset.hidden_pools`, the one
 derivation of a side's unaccounted pool (starting material minus revealed
 minus captured pieces).
@@ -58,6 +58,7 @@ from .engine import (
     STANDARD_RULES,
     make_state,
     observe,
+    side_squares,
 )
 from .infoset import hidden_pools
 
@@ -318,7 +319,8 @@ def decode_state(text: str, rules: Rules = STANDARD_RULES) -> GameState:
                 _parse_captures(capb_f, "captured-by-black", Side.RED))
     hidden = _parse_hidden(hidden_f, board)
 
-    state = make_state(tuple(board), hidden, side_to_move, ply_count,
+    board = tuple(board)
+    state = make_state(board, side_squares(board), hidden, side_to_move, ply_count,
                        plies_since_capture, captures, rules)
     for side in (Side.RED, Side.BLACK):
         _check_material(state, side, hidden_f != "-")
@@ -327,9 +329,3 @@ def decode_state(text: str, rules: Rules = STANDARD_RULES) -> GameState:
         raise JfenError("board: at most one King can be captured")
     _check_counters(state)
     return state
-
-
-#: The shuffled-start position with the hidden section omitted.
-INITIAL_JFEN = (
-    "xxxxkxxxx/9/1x5x1/x1x1x1x1x/9/9/X1X1X1X1X/1X5X1/9/XXXXKXXXX r 0 0 - - -"
-)

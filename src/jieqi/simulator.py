@@ -225,15 +225,14 @@ def run_simulation(
                 cum_log10_gtc=estimate_gtc_log10(b, total_plies / done),
             ))
 
-    mean_branching = total_branching / total_plies
-    mean_length = total_plies / games
+    final = rows[-1]    # every game done: the headline is the last row
     summary = SimulationSummary(
         games=games,
-        mean_branching=mean_branching,
-        mean_length_plies=mean_length,
-        mean_log10_infoset=total_log10 / total_plies,
+        mean_branching=final.cum_avg_branching,
+        mean_length_plies=final.cum_avg_length,
+        mean_log10_infoset=final.cum_avg_log10_infoset,
         log10_mean_infoset=exact_log10(total_size) - math.log10(total_plies),
-        log10_gtc=estimate_gtc_log10(mean_branching, mean_length),
+        log10_gtc=final.cum_log10_gtc,
         result_breakdown=dict(sorted(breakdown.items())),
     )
     return summary, rows, records

@@ -19,7 +19,12 @@ from jieqi import (
     parse_square,
 )
 from jieqi.board import DARK_CELL, NUM_SQUARES, make_cell
-from jieqi.engine import Capture, make_state
+from jieqi.engine import Capture, make_state, side_squares
+
+#: The shuffled-start position with the hidden section omitted.
+INITIAL_JFEN = (
+    "xxxxkxxxx/9/1x5x1/x1x1x1x1x/9/9/X1X1X1X1X/1X5X1/9/XXXXKXXXX r 0 0 - - -"
+)
 
 
 def build_state(
@@ -77,7 +82,8 @@ def build_state(
             ply_count += 1
         if ply_count % 2 != to_move:
             ply_count += 1
-    return make_state(tuple(board), tuple(hidden), to_move, ply_count,
+    board = tuple(board)
+    return make_state(board, side_squares(board), tuple(hidden), to_move, ply_count,
                       plies_since_capture, captures, rules)
 
 

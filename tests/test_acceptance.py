@@ -16,6 +16,7 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import INITIAL_JFEN
 from test_infoset import _late_game_states
 from jieqi import (
     CountParams,
@@ -32,7 +33,6 @@ from jieqi import (
 )
 from jieqi.board import DARK_HOME
 from jieqi.cli import run_cli
-from jieqi.jfen import INITIAL_JFEN
 
 pytestmark = pytest.mark.acceptance
 

@@ -15,10 +15,10 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import INITIAL_JFEN
 import jieqi
 from jieqi import encode_state, initial_state
 from jieqi.cli import run_cli
-from jieqi.jfen import INITIAL_JFEN
 from jieqi.simulator import run_simulation
 
 SEED42_JFEN = encode_state(initial_state(42))

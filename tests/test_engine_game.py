@@ -102,6 +102,9 @@ class TestApplyMove:
             apply_move(state, mv("e4e5"))       # empty origin
         with pytest.raises(IllegalMoveError):
             apply_move(state, mv("a6a5"))       # opponent's piece
+        for pair in ((0, 89), (0, 90)):         # plain tuples, one off the board
+            with pytest.raises(IllegalMoveError, match="illegal move"):
+                apply_move(state, pair)
 
     def test_terminal_state_rejects_moves(self) -> None:
         state = build_state(red={"e0": "K", "d4": "R"}, black={"d8": "K"})
@@ -203,6 +206,29 @@ class TestTermination:
         assert final.status.over
         assert final.status.winner is Side.BLACK
         assert final.status.reason is WinReason.OPPONENT_STALEMATED
+
+    def test_draw_outranks_stalemate(self) -> None:
+        # Red to move has no legal move: a stalemate loss, unless the
+        # no-capture draw has already ended the game.
+        for plies_since_capture, label in ((39, "win_black_opponent_stalemated"),
+                                           (40, "draw")):
+            blocked = build_state(
+                red={"e0": "K", "d0": "H", "f0": "H", "e1": "M"},
+                black={
+                    "e8": "K", "c0": "p", "d1": "p", "g0": "p", "f1": "p",
+                    "d2": "p", "f2": "r",
+                },
+                plies_since_capture=plies_since_capture,
+            )
+            assert blocked.status.label() == label
+            assert blocked.moves == ()
+
+    def test_king_capture_outranks_draw(self) -> None:
+        state = build_state(red={"e0": "K", "a0": "R"}, black={"i9": "r"},
+                            plies_since_capture=40)
+        assert state.status.winner is Side.RED
+        assert state.status.reason is WinReason.KING_CAPTURED
+        assert state.moves == ()
 
 
 class TestObservation:

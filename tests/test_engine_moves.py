@@ -408,9 +408,10 @@ class TestCarriedSquares:
         state = initial_state(seed, rules)
         rng = random.Random(seed)
         while True:
-            assert state == make_state(state.board, state.hidden, state.side_to_move,
-                                       state.ply_count, state.plies_since_capture,
-                                       state.captures, state.rules), state.ply_count
+            assert state == make_state(state.board, side_squares(state.board), state.hidden,
+                                       state.side_to_move, state.ply_count,
+                                       state.plies_since_capture, state.captures,
+                                       state.rules), state.ply_count
             assert decode_state(encode_state(state), rules) == state
             if state.status.over:
                 break

@@ -29,7 +29,7 @@ from jieqi import (
     observe,
 )
 from jieqi.board import DARK_CELL, DARK_CODE, NUM_SQUARES
-from jieqi.engine import make_state
+from jieqi.engine import make_state, side_squares
 
 
 def _mirror(state):
@@ -39,9 +39,11 @@ def _mirror(state):
     for sq, cell in enumerate(state.board):
         r, f = divmod(sq, 9)
         flipped[(9 - r) * 9 + f] = -cell
+    flipped = tuple(flipped)
     hidden = tuple(state.hidden[(9 - sq // 9) * 9 + sq % 9] for sq in range(NUM_SQUARES))
-    return make_state(tuple(flipped), hidden, state.side_to_move.opponent, state.ply_count,
-                      state.plies_since_capture, state.captures[::-1], state.rules)
+    return make_state(flipped, side_squares(flipped), hidden, state.side_to_move.opponent,
+                      state.ply_count, state.plies_since_capture, state.captures[::-1],
+                      state.rules)
 
 
 def _late_game_states(max_dark: int, want: int, seed0: int = 0):

@@ -10,9 +10,8 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import build_state, mv, random_state
+from conftest import INITIAL_JFEN, build_state, mv, random_state
 from jieqi import (
-    INITIAL_JFEN,
     JfenError,
     MissingHiddenInfoError,
     Rules,
