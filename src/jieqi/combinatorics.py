@@ -8,8 +8,8 @@ quantities run to hundreds of digits, far past float precision).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .board import KIND_INDEX, NON_KING_KINDS, START_COUNTS, PieceKind
 
@@ -31,16 +31,18 @@ def exact_log10(n: int) -> float:
     return math.log10(n)
 
 
-@dataclass(frozen=True)
-class KindMultiset:
+class KindMultiset(NamedTuple("_Counts", [("counts", tuple[int, ...])])):
     """Multiset of non-king piece kinds, stored as a count vector indexed
-    like NON_KING_KINDS. Immutable and hashable so it can key caches."""
+    like NON_KING_KINDS. Immutable and hashable so it can key caches.
+    `__new__` rejects a bad vector; the NamedTuple `_make` and `_replace`
+    skip that check, and nothing in the package calls them."""
 
-    counts: tuple[int, int, int, int, int, int] = (0, 0, 0, 0, 0, 0)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.counts) != len(NON_KING_KINDS) or min(self.counts) < 0:
-            raise ValueError(f"bad kind counts {self.counts!r}")
+    def __new__(cls, counts: tuple[int, ...] = (0, 0, 0, 0, 0, 0)) -> KindMultiset:
+        if len(counts) != len(NON_KING_KINDS) or min(counts) < 0:
+            raise ValueError(f"bad kind counts {counts!r}")
+        return tuple.__new__(cls, (counts,))
 
     @classmethod
     def from_kinds(cls, kinds) -> KindMultiset:

@@ -143,8 +143,7 @@ class Capture(NamedTuple):
     was_dark: bool          # face of the piece at the moment it was taken
 
 
-@dataclass(frozen=True)
-class MoveOutcome:
+class MoveOutcome(NamedTuple):
     """What a move did: the kind it revealed, and the entry it appended to
     the mover's capture list (the victim is always the mover's opponent)."""
 
@@ -152,10 +151,10 @@ class MoveOutcome:
     captured: Capture | None
 
 
-@dataclass(frozen=True)
-class GameState:
+class GameState(NamedTuple):
     """Arbiter state: public board plus the hidden identity assignment.
-    Every field is immutable, so equal states hash equal.
+    Every field is immutable, so equal states hash equal.  It is a
+    NamedTuple, so it also compares equal to a plain tuple of its fields.
 
     `board` holds only player-visible cell codes (see jieqi.board).  It is
     the one record of where the Kings stand: a captured King's cell is gone
@@ -195,8 +194,7 @@ class GameState:
                    if cell in DARK_CELL)
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):
     """Everything one player can see.
 
     The board view is identical for both players (nobody knows the identity
@@ -303,7 +301,7 @@ def side_squares(board: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ..
 # move generation
 # ---------------------------------------------------------------------------
 
-# Plan tags: how `_gen_piece` reads a plan's targets.
+# Plan tags: how `_gen_all` reads a plan's targets.
 _STEP, _LEG, _ROOK, _CANNON, _KING = range(5)
 
 # Movement as (file, rank) offsets.  Their order is the order in which a
@@ -415,60 +413,56 @@ def legal_moves(state: GameState) -> tuple[Move, ...]:
 def _gen_all(
     board: tuple[int, ...], squares: tuple[int, ...], side: Side, rules: Rules,
 ) -> tuple[Move, ...]:
-    """The moves of `side`, whose pieces stand on `squares`, in board order."""
+    """The moves of `side`, whose pieces stand on `squares`, in board order.
+    With `sign` +1 for Red, -1 for Black, `d` is open when `board[d] * sign <= 0`."""
     moves: list[Move] = []
+    add = moves.append
     sign = CELL_SIGN[side]
     plans = _PLANS[rules.classic_dark_roles]
     for sq in squares:
-        _gen_piece(board, sign, plans[board[sq]][sq], moves)
+        tag, targets = plans[board[sq]][sq]
+        if tag == _STEP:
+            for d, m in targets:
+                if board[d] * sign <= 0:
+                    add(m)
+        elif tag == _LEG:
+            for leg, d, m in targets:
+                if board[leg] == 0 and board[d] * sign <= 0:
+                    add(m)
+        elif tag == _ROOK:
+            for ray in targets:
+                for d, m in ray:
+                    c = board[d]
+                    if c:
+                        if c * sign < 0:
+                            add(m)
+                        break
+                    add(m)
+        elif tag == _CANNON:
+            for ray in targets:
+                path = iter(ray)
+                for d, m in path:       # slides up to the screen
+                    if board[d]:
+                        break
+                    add(m)
+                for d, m in path:       # the first piece beyond it
+                    c = board[d]
+                    if c:
+                        if c * sign < 0:
+                            add(m)
+                        break
+        else:  # King
+            steps, ahead, enemy_king = targets
+            for d, m in steps:
+                if board[d] * sign <= 0:
+                    add(m)
+            for d, m in ahead:      # flying general: take an exposed enemy King
+                c = board[d]
+                if c:
+                    if c == enemy_king:
+                        add(m)
+                    break
     return tuple(moves)
-
-
-def _gen_piece(board: tuple[int, ...], sign: int, plan: tuple, out: list[Move]) -> None:
-    """Append a piece's moves.  `sign` is +1 for Red and -1 for Black, so a
-    square `d` is open to the piece when `board[d] * sign <= 0`."""
-    tag, targets = plan
-    if tag == _STEP:
-        for d, m in targets:
-            if board[d] * sign <= 0:
-                out.append(m)
-    elif tag == _LEG:
-        for leg, d, m in targets:
-            if board[leg] == 0 and board[d] * sign <= 0:
-                out.append(m)
-    elif tag == _ROOK:
-        for ray in targets:
-            for d, m in ray:
-                c = board[d]
-                if c:
-                    if c * sign < 0:
-                        out.append(m)
-                    break
-                out.append(m)
-    elif tag == _CANNON:
-        for ray in targets:
-            squares = iter(ray)
-            for d, m in squares:    # slides up to the screen
-                if board[d]:
-                    break
-                out.append(m)
-            for d, m in squares:    # the first piece beyond it
-                c = board[d]
-                if c:
-                    if c * sign < 0:
-                        out.append(m)
-                    break
-    else:  # King
-        steps, ahead, enemy_king = targets
-        for d, m in steps:
-            if board[d] * sign <= 0:
-                out.append(m)
-        for d, m in ahead:      # flying general: take an exposed enemy King
-            c = board[d]
-            if c:
-                if c == enemy_king:
-                    out.append(m)
-                break
 
 
 # ---------------------------------------------------------------------------
@@ -571,16 +565,12 @@ def observe(state: GameState, viewer: Side) -> Observation:
     """Project the arbiter state to what `viewer` knows."""
     own_revealed_lost, own_dark_lost = _capture_counts(state.captures[OPPONENT[viewer]])
     opp_revealed_taken, opp_dark_taken = _capture_counts(state.captures[viewer])
-    return Observation(
-        viewer=viewer,
-        view=state.board,
-        own_revealed_captured_by_opp=KindMultiset(tuple(own_revealed_lost)),
-        own_dark_lost_count=sum(own_dark_lost),
-        opp_revealed_captured=KindMultiset(tuple(opp_revealed_taken)),
-        opp_dark_captured_by_viewer=KindMultiset(tuple(opp_dark_taken)),
-        side_to_move=state.side_to_move,
-        plies_since_capture=state.plies_since_capture,
-    )
+    # Positional, in field order: built from keywords, it costs about twice
+    # as much.
+    return Observation(viewer, state.board, KindMultiset(tuple(own_revealed_lost)),
+                       sum(own_dark_lost), KindMultiset(tuple(opp_revealed_taken)),
+                       KindMultiset(tuple(opp_dark_taken)), state.side_to_move,
+                       state.plies_since_capture)
 
 
 # ---------------------------------------------------------------------------

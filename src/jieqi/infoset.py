@@ -30,16 +30,16 @@ there is one definition, on the observation, and no state-level shortcut.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .board import DARK_CELL, NON_KING_CELLS, OPPONENT, START_COUNTS
 from .combinatorics import KindMultiset, multiset_arrangements
 from .engine import GameState, Observation, observe
 
 
-@dataclass(frozen=True)
-class HiddenPools:
-    """The two unknown-identity pools and their on-board slot counts."""
+class HiddenPools(NamedTuple):
+    """The two unknown-identity pools and their on-board slot counts: an
+    immutable, hashable value, like the observation it is derived from."""
 
     own_pool: KindMultiset
     own_slots: int

@@ -12,7 +12,6 @@ import json
 import math
 import random
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -208,7 +207,7 @@ def _shuffled_hidden(state, rng) -> object:
         rng.shuffle(kinds)
         for sq, kind in zip(squares, kinds):
             hidden[sq] = kind
-    return replace(state, hidden=tuple(hidden))
+    return state._replace(hidden=tuple(hidden))
 
 
 def test_criterion_8_engine_suite(capsys, reproduction_run) -> None:

@@ -64,6 +64,8 @@ class TestKindMultiset:
     def test_constructor_rejects_bad_counts(self, counts) -> None:
         with pytest.raises(ValueError):
             KindMultiset(counts)
+        with pytest.raises(ValueError):
+            KindMultiset(counts=counts)
 
     def test_expand_round_trip(self) -> None:
         assert KindMultiset.from_kinds(START_POOL.expand()) == START_POOL

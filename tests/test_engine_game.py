@@ -4,8 +4,8 @@ determinism and conservation invariants."""
 from __future__ import annotations
 
 import math
+import pickle
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -19,6 +19,7 @@ from jieqi import (
     START_POOL,
     WinReason,
     apply_move,
+    hidden_pools,
     initial_state,
     legal_moves,
     observe,
@@ -37,7 +38,7 @@ def swap_hidden(state, sq_name: str, kind: PieceKind):
         if k is kind and (state.board[s] > 0) == (state.board[sq] > 0)
     )
     hidden[donor], hidden[sq] = hidden[sq], hidden[donor]
-    return replace(state, hidden=tuple(hidden))
+    return state._replace(hidden=tuple(hidden))
 
 
 def board_multiset(state, side: Side) -> KindMultiset:
@@ -369,3 +370,44 @@ class TestKnuthEstimator:
             se = math.sqrt((squares - n * mean * mean) / (n - 1) / n)
             z = (mean - exact[d - 1]) / se
             assert abs(z) < self.Z_BOUND, (d, mean, se, exact[d - 1])
+
+
+def _records() -> dict[str, object]:
+    """One of each per-ply record, built afresh from a fixed seed."""
+    state = random_state(7, 30)
+    assert not state.status.over
+    obs = observe(state, state.side_to_move)
+    pools = hidden_pools(obs)
+    return {
+        "GameState": state,
+        "MoveOutcome": apply_move(state, state.moves[0])[1],
+        "Observation": obs,
+        "HiddenPools": pools,
+        "KindMultiset": pools.own_pool,
+    }
+
+
+class TestRecordValues:
+    """The per-ply records are immutable, hashable values."""
+
+    FIELD = {"GameState": "board", "MoveOutcome": "revealed", "Observation": "viewer",
+             "HiddenPools": "own_pool", "KindMultiset": "counts"}
+
+    @pytest.mark.parametrize("name", list(FIELD))
+    def test_field_assignment_raises(self, name: str) -> None:
+        record, field = _records()[name], self.FIELD[name]
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+
+    @pytest.mark.parametrize("name", list(FIELD))
+    def test_equal_values_hash_equal(self, name: str) -> None:
+        a, b = _records()[name], _records()[name]
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+
+    @pytest.mark.parametrize("name", list(FIELD))
+    def test_pickle_round_trip(self, name: str) -> None:
+        record = _records()[name]
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy) is type(record)
+        assert copy == record and hash(copy) == hash(record)

@@ -34,7 +34,7 @@ from jieqi.board import (
     ROLE_OF_SQUARE,
     in_palace,
 )
-from jieqi.engine import ONGOING, GameState, _gen_all, make_state, side_squares
+from jieqi.engine import ONGOING, GameState, _gen_all, make_state, perft_counts, side_squares
 
 
 def _dests(state, from_name: str) -> set[str]:
@@ -329,6 +329,21 @@ class TestAgainstNaiveGenerator:
             if state.status.over:
                 continue
             assert set(legal_moves(state)) == naive_legal_moves(state), trial
+
+
+@pytest.mark.parametrize("classic", [False, True], ids=["relaxed", "classic"])
+@pytest.mark.parametrize("seed, plies", [(0, 0), (3, 20), (11, 50)],
+                         ids=["initial", "ply-20", "ply-50"])
+def test_perft_depth_two_equals_naive(seed: int, plies: int, classic: bool) -> None:
+    # Depth 2 counts every successor's moves, so this checks the generator
+    # on each successor and not only at the root.
+    state = random_state(seed, plies, Rules(classic_dark_roles=classic))
+    assert not state.status.over
+    successors = [apply_move(state, move)[0] for move in state.moves]
+    assert perft_counts(state, 2) == [
+        len(naive_legal_moves(state)),
+        sum(0 if succ.status.over else len(naive_legal_moves(succ)) for succ in successors),
+    ]
 
 
 def _stalemated(state) -> bool:

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -102,8 +101,8 @@ class TestHiddenPools:
 
     def test_corrupt_observation_rejected(self) -> None:
         obs = observe(initial_state(0), Side.RED)
-        toomany = replace(
-            obs, own_revealed_captured_by_opp=KindMultiset((3, 0, 0, 0, 0, 0))
+        toomany = obs._replace(
+            own_revealed_captured_by_opp=KindMultiset((3, 0, 0, 0, 0, 0))
         )
         with pytest.raises(ValueError, match="corrupt"):
             hidden_pools(toomany)

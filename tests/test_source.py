@@ -64,8 +64,8 @@ def test_generator_builds_no_moves() -> None:
     # removes.
     tree = ast.parse((PACKAGE_DIR / "engine.py").read_text())
     generators = [node for node in tree.body if isinstance(node, ast.FunctionDef)
-                  and node.name in ("_gen_piece", "_gen_all")]
-    assert len(generators) == 2
+                  and node.name == "_gen_all"]
+    assert len(generators) == 1
     found = [f"{fn.name}:{node.lineno}" for fn in generators for node in ast.walk(fn)
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id == "Move"]
