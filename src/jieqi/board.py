@@ -126,8 +126,9 @@ def parse_square(text: str) -> int:
 # --- cell code ---------------------------------------------------------------
 
 def make_cell(side: Side, kind: PieceKind) -> int:
-    v = kind.value + 1
-    return v if side is Side.RED else -v
+    # Plain int arithmetic on the IntEnum values: Red is 0, Black 1.
+    v = kind + 1
+    return -v if side else v
 
 
 #: Kind of every non-empty cell code; None for a face-down piece.

@@ -31,7 +31,10 @@ identity up front.  A state carries its status and the side to move's
 legal moves, generated once when the state is made.  `make_state` is the
 one place that builds a state, and so the one termination rule and the
 one move generation: `initial_state`, the state-text decoder and
-`apply_move` all call it.
+`apply_move` all call it.  It requires a state that play can reach: play
+stops at the first King capture, so `make_state` reads a King capture from
+the capture that ended the game instead of scanning the board, and the
+decoder rejects the texts that no game reaches before it calls it.
 """
 
 from __future__ import annotations
@@ -218,15 +221,14 @@ class Observation(NamedTuple):
     own_dark_lost_count: int
     opp_revealed_captured: KindMultiset
     opp_dark_captured_by_viewer: KindMultiset
-    side_to_move: Side
-    plies_since_capture: int
 
 
 # ---------------------------------------------------------------------------
 # setup
 # ---------------------------------------------------------------------------
 
-_RED_KING, _BLACK_KING = KING_CELL
+_KING_KIND = PieceKind.KING
+_new = tuple.__new__
 
 
 def initial_state(seed: int, rules: Rules = STANDARD_RULES) -> GameState:
@@ -259,20 +261,23 @@ def make_state(
     rules: Rules,
 ) -> GameState:
     """The state with these fields, its `status` and `moves` derived from
-    them.  `squares` must be `side_squares(board)`.
+    them.  `squares` must be `side_squares(board)`, and the fields must be
+    reachable in play.
 
-    The termination rule, checked in order: King captured (a King's cell
-    is missing from the board), no-capture draw, side to move stalemated
-    (it has no legal move).  A King can reach the enemy palace only by the
-    flying-general capture, so a winner whose King stands in the loser's
-    palace won by meet-the-marshals; any other King capture is a plain one.
+    The termination rule, checked in order: King captured, no-capture draw,
+    side to move stalemated (it has no legal move).  Play stops at the
+    first King capture, and that capture restarts the counter and hands the
+    move to the loser; so a King is captured exactly when the counter is 0
+    and the last entry of the previous mover's capture list is a King.  A
+    King can reach the enemy palace only by the flying-general capture, so
+    a winner whose King stands in the loser's palace won by
+    meet-the-marshals; any other King capture is a plain one.
     """
     moves: tuple[Move, ...] = ()
-    if _RED_KING not in board or _BLACK_KING not in board:
-        winner = Side.BLACK if _RED_KING not in board else Side.RED
-        king = KING_CELL[winner]
+    winner = OPPONENT[side_to_move]
+    if not plies_since_capture and captures[winner] and captures[winner][-1].kind is _KING_KIND:
         reason = (WinReason.MEET_MARSHALS
-                  if king in board and in_palace(board.index(king), winner.opponent)
+                  if in_palace(board.index(KING_CELL[winner]), side_to_move)
                   else WinReason.KING_CAPTURED)
         status = TerminalStatus.win(winner, reason)
     elif plies_since_capture >= rules.draw_plies:
@@ -281,8 +286,9 @@ def make_state(
         moves = _gen_all(board, squares[side_to_move], side_to_move, rules)
         status = (ONGOING if moves
                   else TerminalStatus.win(side_to_move.opponent, WinReason.OPPONENT_STALEMATED))
-    return GameState(board, squares, hidden, side_to_move, ply_count,
-                     plies_since_capture, captures, status, moves, rules)
+    # tuple.__new__ skips the generated __new__'s argument handling.
+    return _new(GameState, (board, squares, hidden, side_to_move, ply_count,
+                            plies_since_capture, captures, status, moves, rules))
 
 
 def side_squares(board: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -532,10 +538,11 @@ def apply_move(state: GameState, move: Move) -> tuple[GameState, MoveOutcome]:
         hidden[from_sq] = hidden[to_sq] = None
         hidden = tuple(hidden)
 
-    squares = (tuple(own), theirs) if mover is Side.RED else (theirs, tuple(own))
+    # `mover` is an IntEnum, so Black (1) is truthy and Red (0) is not.
+    squares = (theirs, tuple(own)) if mover else (tuple(own), theirs)
     new_state = make_state(tuple(board), squares, hidden, next_side, state.ply_count + 1,
                            plies_since_capture, captures, rules)
-    return new_state, MoveOutcome(revealed, captured)
+    return new_state, _new(MoveOutcome, (revealed, captured))
 
 
 def _missing_identity(side: Side, sq: int) -> MissingHiddenInfoError:
@@ -552,11 +559,10 @@ def _missing_identity(side: Side, sq: int) -> MissingHiddenInfoError:
 def _capture_counts(entries: tuple[Capture, ...]) -> tuple[list[int], list[int]]:
     """Kind counts of a capture list's (revealed, dark) entries.  Kings are
     never face-down, so a captured King is skipped as revealed."""
-    king = PieceKind.KING
     revealed = [0] * len(NON_KING_KINDS)
     dark = [0] * len(NON_KING_KINDS)
     for kind, was_dark in entries:
-        if kind is not king:
+        if kind is not _KING_KIND:
             (dark if was_dark else revealed)[KIND_INDEX[kind]] += 1
     return revealed, dark
 
@@ -569,8 +575,7 @@ def observe(state: GameState, viewer: Side) -> Observation:
     # as much.
     return Observation(viewer, state.board, KindMultiset(tuple(own_revealed_lost)),
                        sum(own_dark_lost), KindMultiset(tuple(opp_revealed_taken)),
-                       KindMultiset(tuple(opp_dark_taken)), state.side_to_move,
-                       state.plies_since_capture)
+                       KindMultiset(tuple(opp_dark_taken)))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,11 @@ hidden    the true identities of all face-down pieces: comma-separated
 
 Terminal status and legal moves are not encoded; decoding builds the state
 with `engine.make_state`, the builder `apply_move` uses too, so a decoded
-state carries the status and moves play gave it.
+state carries the status and moves play gave it.  `make_state` reads a
+King capture from the capture that ended the game, so the decoder first
+rejects the King captures no game reaches: one that is not the last entry
+of its capturer's list, a nonzero no-capture counter after it, or the
+winner to move.
 Piece conservation is checked through `infoset.hidden_pools`, the one
 derivation of a side's unaccounted pool (starting material minus revealed
 minus captured pieces).
@@ -42,6 +46,7 @@ from .board import (
     FILES,
     KING_CELL,
     NUM_SQUARES,
+    OPPONENT,
     RANKS,
     PieceKind,
     Side,
@@ -219,37 +224,57 @@ def _parse_hidden(field: str, board: list[int]) -> tuple[PieceKind | None, ...]:
     return tuple(hidden)
 
 
+#: The one capture entry a King makes: a King is never face-down.
+_KING_TAKEN = Capture(PieceKind.KING, False)
+
+
+def _check_kings(board: list[int], side_to_move: Side, plies_since_capture: int,
+                 captures: tuple[tuple[Capture, ...], tuple[Capture, ...]]) -> None:
+    """Each King is on the board, inside a palace, or captured exactly
+    once; and play stops at the first King capture, which restarts the
+    no-capture counter and hands the move to the loser.  So a captured King
+    is the last entry of its capturer's list, the counter is 0 and the
+    loser is to move: `make_state` reads the win from that capture."""
+    for side in (Side.RED, Side.BLACK):
+        king = KING_CELL[side]
+        on_board = board.count(king)
+        taken = captures[OPPONENT[side]]
+        if on_board + taken.count(_KING_TAKEN) != 1:
+            raise JfenError(f"board: {side.name} must have exactly one King on board or captured")
+        if on_board:
+            # A King sits in its own palace, or in the enemy palace right
+            # after a flying-general capture.
+            sq = board.index(king)
+            if not (in_palace(sq, side) or in_palace(sq, side.opponent)):
+                raise JfenError(
+                    f"board: {side.name} King on {square_name(sq)} is outside both palaces"
+                )
+        elif taken[-1] != _KING_TAKEN:
+            raise JfenError(f"captured-by-{side.opponent.name.lower()}: the {side.name} King "
+                            "must be the last capture, since play stops at it")
+        elif plies_since_capture:
+            raise JfenError(f"plies-since-capture {plies_since_capture} must be 0 right "
+                            f"after the {side.name} King's capture")
+        elif side_to_move is not side:
+            raise JfenError(f"side to move: {side.name} moves after the capture of the "
+                            f"{side.name} King, not {side.opponent.name}")
+
+
 def _check_material(state: GameState, side: Side, has_hidden: bool) -> None:
     """Piece conservation for `side`: its face-down pieces stand on its
-    starting squares, its King is on the board or captured exactly once,
-    and its unaccounted pool fills its face-down squares (and equals the
-    hidden assignment when present)."""
-    king, dark = KING_CELL[side], DARK_CELL[side]
-    kings_on_board = 0
+    starting squares, and its unaccounted pool fills its face-down squares
+    (and equals the hidden assignment when present)."""
+    dark = DARK_CELL[side]
     dark_squares = []
     board = state.board
     for sq in state.squares[side]:
-        cell = board[sq]
-        if cell == dark:
+        if board[sq] == dark:
             if sq not in DARK_HOME[side]:
                 raise JfenError(
                     f"board: face-down {side.name} piece on {square_name(sq)} is "
                     "outside its side's starting squares"
                 )
             dark_squares.append(sq)
-        elif cell == king:
-            kings_on_board += 1
-            # A King sits in its own palace, or in the enemy palace right
-            # after a flying-general capture.
-            if not (in_palace(sq, side) or in_palace(sq, side.opponent)):
-                raise JfenError(
-                    f"board: {side.name} King on {square_name(sq)} is outside both palaces"
-                )
-
-    captured_kings = sum(1 for k, _ in state.captures[side.opponent]
-                         if k is PieceKind.KING)
-    if kings_on_board + captured_kings != 1:
-        raise JfenError(f"board: {side.name} must have exactly one King on board or captured")
 
     try:
         pool = hidden_pools(observe(state, side.opponent)).opp_pool
@@ -318,14 +343,14 @@ def decode_state(text: str, rules: Rules = STANDARD_RULES) -> GameState:
     captures = (_parse_captures(capr_f, "captured-by-red", Side.BLACK),
                 _parse_captures(capb_f, "captured-by-black", Side.RED))
     hidden = _parse_hidden(hidden_f, board)
+    # Before `make_state`, which reads a King capture from these fields
+    # and assumes they are reachable.
+    _check_kings(board, side_to_move, plies_since_capture, captures)
 
     board = tuple(board)
     state = make_state(board, side_squares(board), hidden, side_to_move, ply_count,
                        plies_since_capture, captures, rules)
     for side in (Side.RED, Side.BLACK):
         _check_material(state, side, hidden_f != "-")
-    if not any(king in state.board for king in KING_CELL):
-        # Play stops at the first King capture.
-        raise JfenError("board: at most one King can be captured")
     _check_counters(state)
     return state

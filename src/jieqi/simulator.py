@@ -147,7 +147,7 @@ def play_random_game(
         branching.append(len(moves))
         log10s.append(entry[1])
         infoset_total += entry[0]
-        state, outcome = apply_move(state, moves[move_rng.randrange(len(moves))])
+        state, outcome = apply_move(state, move_rng.choice(moves))
         captured = outcome.captured
         if outcome.revealed is not None or (captured is not None and captured.was_dark):
             sized = [None, None]

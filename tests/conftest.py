@@ -40,9 +40,11 @@ def build_state(
 
     `red` / `black` map square names to piece letters ('K','G','M','R','H',
     'C','P') for revealed pieces, or 'dark:<letter>' for a face-down piece
-    with that true kind.  Pieces missing from the board are auto-completed
-    into the opposing capture list (revealed face) so piece conservation
-    holds and the state encodes/decodes cleanly.  `ply_count` defaults to
+    with that true kind.  Both Kings must be placed: a King capture ends
+    the game, so only `apply_move` makes one.  Other pieces missing from
+    the board are auto-completed into the opposing capture list (revealed
+    face) so piece conservation holds and the state encodes/decodes
+    cleanly.  `ply_count` defaults to
     the smallest count `decode_state` accepts with those captures, side to
     move and `plies_since_capture`.
     """
@@ -65,8 +67,7 @@ def build_state(
     def missing(side: Side) -> tuple:
         pool = START_POOL
         entries = []
-        if PieceKind.KING not in on_board[side]:
-            entries.append(Capture(PieceKind.KING, False))
+        assert PieceKind.KING in on_board[side], f"place the {side.name} King"
         for kind in on_board[side]:
             if kind is not PieceKind.KING:
                 pool = without(pool, kind)

@@ -15,6 +15,7 @@ from jieqi import (
     IllegalMoveError,
     KindMultiset,
     PieceKind,
+    Rules,
     Side,
     START_POOL,
     WinReason,
@@ -25,8 +26,8 @@ from jieqi import (
     observe,
     parse_square,
 )
-from jieqi.board import DARK_CODE, DARK_HOME, make_cell, square_name
-from jieqi.engine import perft_counts
+from jieqi.board import DARK_CODE, DARK_HOME, KING_CELL, in_palace, make_cell, square_name
+from jieqi.engine import TerminalStatus, perft_counts
 
 
 def swap_hidden(state, sq_name: str, kind: PieceKind):
@@ -179,7 +180,6 @@ class TestTermination:
         assert alive.plies_since_capture == 0
 
     def test_custom_draw_window(self) -> None:
-        from jieqi import Rules
         state = build_state(
             red={"e0": "K", "a0": "R"}, black={"e8": "K", "i9": "r"},
             plies_since_capture=9, rules=Rules(draw_plies=10),
@@ -188,7 +188,6 @@ class TestTermination:
         assert final.status.label() == "draw"
 
     def test_draw_window_below_one_rejected(self) -> None:
-        from jieqi import Rules
         for draw_plies in (0, -1):
             with pytest.raises(ValueError, match="draw_plies"):
                 Rules(draw_plies=draw_plies)
@@ -225,11 +224,52 @@ class TestTermination:
             assert blocked.moves == ()
 
     def test_king_capture_outranks_draw(self) -> None:
-        state = build_state(red={"e0": "K", "a0": "R"}, black={"i9": "r"},
-                            plies_since_capture=40)
-        assert state.status.winner is Side.RED
-        assert state.status.reason is WinReason.KING_CAPTURED
-        assert state.moves == ()
+        # The 40th capture-free ply would be a draw, but a move that takes
+        # the King is a capture: it wins, and restarts the counter.
+        state = build_state(red={"e0": "K", "e4": "R"}, black={"e8": "K", "i9": "r"},
+                            plies_since_capture=39, ply_count=100)
+        final, outcome = apply_move(state, mv("e4e8"))
+        assert outcome.captured.kind is PieceKind.KING
+        assert final.status.label() == "win_red_king_captured"
+        assert final.plies_since_capture == 0
+        assert final.moves == ()
+
+
+def _board_scan_status(state) -> TerminalStatus | None:
+    """The King-capture rule read from the board alone: a missing King cell
+    is a win for the other side, by meet-the-marshals when the winner's
+    King stands in the loser's palace; None while both Kings stand."""
+    missing = [side for side in Side if KING_CELL[side] not in state.board]
+    if not missing:
+        return None
+    (loser,) = missing
+    winner = loser.opponent
+    reason = (WinReason.MEET_MARSHALS
+              if in_palace(state.board.index(KING_CELL[winner]), loser)
+              else WinReason.KING_CAPTURED)
+    return TerminalStatus.win(winner, reason)
+
+
+class TestKingCaptureOracle:
+    """`make_state` reads a King capture from the capture that made it; on
+    every state of seeded random play, that must agree with a board scan."""
+
+    @settings(derandomize=True, deadline=None, max_examples=120)
+    @given(seed=st.integers(0, 2**32 - 1), plies=st.integers(0, 300),
+           classic=st.booleans())
+    def test_status_equals_board_scan(self, seed: int, plies: int, classic: bool) -> None:
+        state = initial_state(seed, Rules(classic_dark_roles=classic))
+        rng = random.Random(seed)
+        for _ in range(plies + 1):
+            scanned = _board_scan_status(state)
+            if scanned is None:
+                assert state.status.reason not in (WinReason.KING_CAPTURED,
+                                                   WinReason.MEET_MARSHALS)
+            else:
+                assert state.status == scanned
+            if state.status.over:
+                break
+            state, _ = apply_move(state, rng.choice(state.moves))
 
 
 class TestObservation:
@@ -243,7 +283,10 @@ class TestObservation:
         assert obs.own_revealed_captured_by_opp.total() == 0
         assert obs.opp_revealed_captured.total() == 0
         assert obs.opp_dark_captured_by_viewer.total() == 0
-        assert obs.side_to_move is Side.RED
+        # Only what sizing reads: the size depends on nothing else.
+        assert obs._fields == ("viewer", "view", "own_revealed_captured_by_opp",
+                               "own_dark_lost_count", "opp_revealed_captured",
+                               "opp_dark_captured_by_viewer")
 
     def test_view_never_leaks_hidden_kinds(self) -> None:
         state = initial_state(1)

@@ -255,6 +255,25 @@ class TestMalformedInputs:
         with pytest.raises(JfenError, match="King"):
             decode_state(text)
 
+    #: Seed 4 of `random_state`: Red takes the Black King on ply 179.
+    KING_TAKEN = ("1m2H4/2m2p2P/9/1gp3p2/9/9/4P3p/6M2/3MC4/4K4"
+                  " b 0 179 hhrcgp*rck HRRCGGPPP -")
+
+    def test_king_capture_text_is_reached_in_play(self) -> None:
+        assert _reachable_text(4, 179, include_hidden=False) == self.KING_TAKEN
+        assert decode_state(self.KING_TAKEN).status.label() == "win_red_king_captured"
+
+    @pytest.mark.parametrize("edit, match", [
+        ((" hhrcgp*rck ", " hhrcgp*rkc "), "last capture"),
+        ((" b 0 179 ", " b 2 179 "), "must be 0"),
+        ((" b 0 179 ", " r 0 180 "), "side to move"),
+    ], ids=["king-not-last", "counter-not-0", "winner-to-move"])
+    def test_king_capture_out_of_play(self, edit: tuple[str, str], match: str) -> None:
+        # Play stops at the King capture, right after it: that capture is
+        # the last, the counter restarts and the loser is to move.
+        with pytest.raises(JfenError, match=match):
+            decode_state(self.KING_TAKEN.replace(*edit, 1))
+
     def test_conservation_violations(self) -> None:
         # a second red King
         with pytest.raises(JfenError, match="King"):

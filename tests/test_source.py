@@ -72,6 +72,18 @@ def test_generator_builds_no_moves() -> None:
     assert found == []
 
 
+def _builds_state(call: ast.Call) -> bool:
+    """A call that makes a GameState: `GameState(...)`, `GameState._make(...)`,
+    or `tuple.__new__(GameState, ...)` by any name."""
+    func = call.func
+    called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    first = call.args[0] if call.args else None
+    return (called == "GameState"
+            or (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                and func.value.id == "GameState")
+            or (isinstance(first, ast.Name) and first.id == "GameState"))
+
+
 def test_states_built_in_one_place() -> None:
     # A state's status and moves are derived from its other fields, and
     # `make_state` derives them; any other constructor call could build a
@@ -81,12 +93,8 @@ def test_states_built_in_one_place() -> None:
         tree = ast.parse(path.read_text(), filename=str(path))
         for top in tree.body:
             owner = getattr(top, "name", f"line {top.lineno}")
-            for node in ast.walk(top):
-                if isinstance(node, ast.Call):
-                    func = node.func
-                    called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                    if called == "GameState":
-                        found.append(f"{path.name}:{owner}")
+            found += [f"{path.name}:{owner}" for node in ast.walk(top)
+                      if isinstance(node, ast.Call) and _builds_state(node)]
     assert found == ["engine.py:make_state"]
 
 
