@@ -14,9 +14,9 @@ import math
 import os
 import random
 from dataclasses import asdict, dataclass
-from multiprocessing import Pool
+from multiprocessing import Pipe, Process
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .combinatorics import exact_log10
 from .engine import (
@@ -28,6 +28,10 @@ from .engine import (
     legal_moves,
 )
 from .infoset import mover_infoset_size
+
+# The first Pipe() imports this module, so a run without children never does.
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -169,9 +173,31 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _play_indexed(args: tuple[int, int, Rules]) -> GameRecord:
-    index, seed, rules = args
-    return play_random_game(seed, rules, game_index=index)
+def _play_share(indices: range, master_seed: int, rules: Rules) -> list[GameRecord]:
+    return [play_random_game(game_seed(master_seed, i), rules, game_index=i)
+            for i in indices]
+
+
+def _send_share(sender: Connection, indices: range, master_seed: int,
+                rules: Rules) -> None:
+    """A child process's body: play one share and send back its records, or
+    the exception that stopped it."""
+    try:
+        result: list[GameRecord] | Exception = _play_share(indices, master_seed, rules)
+    except Exception as exc:
+        result = exc
+    sender.send(result)
+
+
+def _receive_share(receiver: Connection) -> list[GameRecord]:
+    try:
+        result = receiver.recv()
+    except EOFError:
+        raise RuntimeError("a self-play child process exited without sending "
+                           "its games") from None
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def run_simulation(
@@ -185,22 +211,42 @@ def run_simulation(
     The branching factor is pooled over all plies of all games; game length
     is the per-game mean; the information-set statistic is reported both as
     the mean of per-ply log10 sizes and as the log10 of the exact
-    arithmetic-mean size.  `workers` only distributes the games, capped at
-    the games and the usable CPUs; it cannot change any output.  Returns
-    (summary, series rows, game records).
+    arithmetic-mean size.  Returns (summary, series rows, game records).
+
+    `workers` only distributes the games, capped at the games and the usable
+    CPUs; it cannot change any output.  Game i goes to share i % workers.
+    The caller plays share 0 itself and starts one child process per other
+    share, which sends its records back over its own pipe, so `workers` N
+    starts N - 1 children and one worker starts none.  A child's exception
+    is raised again here, and no child outlives the call.
     """
     if games < 1:
         raise ValueError("games must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    tasks = [(i, game_seed(master_seed, i), rules) for i in range(games)]
     workers = min(workers, games, usable_cpus())
-    if workers == 1:
-        records = [_play_indexed(t) for t in tasks]
-    else:
-        chunk = max(1, games // (workers * 8))
-        with Pool(workers) as pool:
-            records = pool.map(_play_indexed, tasks, chunksize=chunk)
+    shares = [range(k, games, workers) for k in range(workers)]
+    children: list[tuple[Process, Connection]] = []
+    try:
+        for indices in shares[1:]:
+            receiver, sender = Pipe(duplex=False)
+            child = Process(target=_send_share,
+                            args=(sender, indices, master_seed, rules))
+            child.start()
+            children.append((child, receiver))
+            sender.close()
+        played = [_play_share(shares[0], master_seed, rules)]
+        played += [_receive_share(receiver) for _, receiver in children]
+    except BaseException:
+        # A child still sending would block its exit: stop it.
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, receiver in children:
+            child.join()
+            receiver.close()
+    records = [played[i % workers][i // workers] for i in range(games)]
 
     rows: list[SeriesRow] = []
     total_plies = 0

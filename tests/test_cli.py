@@ -380,7 +380,7 @@ def _state_text(draw, bases: list[str]) -> str:
 @st.composite
 def _argv(draw, out_dir: str) -> list[str]:
     """One subcommand with random flag values, bounded so that no example
-    starts a process pool or runs long."""
+    starts a child process or runs long."""
 
     def optional(*args: str) -> list[str]:
         return list(args) if draw(st.booleans()) else []

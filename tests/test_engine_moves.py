@@ -346,6 +346,11 @@ def test_perft_depth_two_equals_naive(seed: int, plies: int, classic: bool) -> N
     ]
 
 
+def test_perft_depth_four_from_the_start() -> None:
+    # Depth 4 takes about 1.5 s on one core.
+    assert perft_counts(initial_state(0), 4) == [46, 2106, 92073, 3713761]
+
+
 def _stalemated(state) -> bool:
     return state.status.reason is WinReason.OPPONENT_STALEMATED
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
+import os
 import random
 
 import pytest
@@ -129,49 +131,99 @@ class TestInfosetReuse:
             assert rec.infoset_total == total, seed
 
 
-def _fake_pool(monkeypatch, cpus: int) -> list[int]:
-    """Pin the usable CPU count to `cpus` and swap `Pool` for one that
-    records the size it was asked for and maps in this process; return
-    that record."""
-    sizes: list[int] = []
+class _CountedProcess(multiprocessing.Process):
+    """A child process that records itself in `started` when it starts."""
 
-    class FakePool:
-        def __init__(self, processes: int) -> None:
-            sizes.append(processes)
+    started: list[multiprocessing.Process] = []
 
-        def __enter__(self):
-            return self
+    def start(self) -> None:
+        self.started.append(self)
+        super().start()
 
-        def __exit__(self, *exc) -> None:
-            return None
 
-        def map(self, fn, tasks, chunksize=1):
-            return [fn(t) for t in tasks]
-
-    monkeypatch.setattr(jieqi.simulator, "Pool", FakePool)
+def _count_children(monkeypatch, cpus: int) -> list[multiprocessing.Process]:
+    """Pin the usable CPU count to `cpus` and have run_simulation start
+    children that record themselves; return that record."""
+    started: list[multiprocessing.Process] = []
+    monkeypatch.setattr(_CountedProcess, "started", started)
+    monkeypatch.setattr(jieqi.simulator, "Process", _CountedProcess)
     monkeypatch.setattr(jieqi.simulator, "usable_cpus", lambda: cpus)
-    return sizes
+    return started
+
+
+def _fail_on_game(monkeypatch, index: int, fail) -> None:
+    """Make play_random_game call `fail()` on game `index`."""
+    play = jieqi.simulator.play_random_game
+
+    def play_or_fail(seed, rules=STANDARD_RULES, game_index=0):
+        if game_index == index:
+            fail()
+        return play(seed, rules, game_index)
+
+    monkeypatch.setattr(jieqi.simulator, "play_random_game", play_or_fail)
+
+
+def _raise_game_failed() -> None:
+    raise ValueError("game failed")
+
+
+_needs_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="a patch of this process reaches a child only through fork")
 
 
 class TestRunSimulation:
     def test_pool_no_larger_than_games(self, monkeypatch) -> None:
-        sizes = _fake_pool(monkeypatch, cpus=8)
+        started = _count_children(monkeypatch, cpus=8)
         _, _, records = run_simulation(games=2, master_seed=3, workers=8)
-        assert sizes == [2]
+        assert len(started) == 1        # 2 workers: the caller and one child
         assert [r.game_index for r in records] == [0, 1]
-        # one game needs one worker: the serial path, no pool
+        # one game needs one worker: the caller plays it, no child starts
         run_simulation(games=1, master_seed=3, workers=4)
-        assert sizes == [2]
+        assert len(started) == 1
 
     def test_pool_no_larger_than_cpus(self, monkeypatch) -> None:
-        sizes = _fake_pool(monkeypatch, cpus=3)
+        started = _count_children(monkeypatch, cpus=3)
         _, _, records = run_simulation(games=4, master_seed=3, workers=5000)
-        assert sizes == [3]
+        assert len(started) == 2        # 3 workers: the caller and two children
         assert [r.game_index for r in records] == [0, 1, 2, 3]
-        # one usable CPU: the serial path, no pool
+        # one usable CPU: the caller plays every game, no child starts
         monkeypatch.setattr(jieqi.simulator, "usable_cpus", lambda: 1)
         run_simulation(games=4, master_seed=3, workers=5000)
-        assert sizes == [3]
+        assert len(started) == 2
+
+    @pytest.mark.parametrize("cpus", [3, 4])
+    def test_uneven_shares_cannot_change_results(self, monkeypatch, cpus: int) -> None:
+        serial = run_simulation(games=7, master_seed=5, workers=1)
+        started = _count_children(monkeypatch, cpus=cpus)
+        assert run_simulation(games=7, master_seed=5, workers=cpus) == serial
+        assert len(started) == cpus - 1
+
+    def test_no_child_outlives_a_run(self, monkeypatch) -> None:
+        started = _count_children(monkeypatch, cpus=2)
+        run_simulation(games=4, master_seed=3, workers=2)
+        assert len(started) == 1
+        assert multiprocessing.active_children() == []
+
+    # At 2 workers the caller plays the even games and the child the odd.
+    # When the caller's game 0 fails, the child's 100 games are more records
+    # than its pipe buffers, so it must be stopped, not waited for.
+    @_needs_fork
+    @pytest.mark.parametrize("index, games", [(0, 200), (1, 6)], ids=["caller", "child"])
+    def test_exception_raised_in_caller(self, monkeypatch, index: int, games: int) -> None:
+        _fail_on_game(monkeypatch, index, _raise_game_failed)
+        monkeypatch.setattr(jieqi.simulator, "usable_cpus", lambda: 2)
+        with pytest.raises(ValueError, match="game failed"):
+            run_simulation(games=games, master_seed=3, workers=2)
+        assert multiprocessing.active_children() == []
+
+    @_needs_fork
+    def test_child_exit_without_sending_raises(self, monkeypatch) -> None:
+        _fail_on_game(monkeypatch, 1, lambda: os._exit(1))
+        monkeypatch.setattr(jieqi.simulator, "usable_cpus", lambda: 2)
+        with pytest.raises(RuntimeError, match="without sending"):
+            run_simulation(games=6, master_seed=3, workers=2)
+        assert multiprocessing.active_children() == []
 
     def test_worker_count_cannot_change_results(self) -> None:
         s1, r1, g1 = run_simulation(games=100, master_seed=3, workers=1)
