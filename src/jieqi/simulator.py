@@ -9,14 +9,17 @@ byte-identical for any worker count.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
+import pickle
 import random
 from dataclasses import asdict, dataclass
-from multiprocessing import Pipe, Process
+from multiprocessing import Lock, Pipe, Process, RawValue
+from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .combinatorics import exact_log10
 from .engine import (
@@ -173,20 +176,57 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _play_share(indices: range, master_seed: int, rules: Rules) -> list[GameRecord]:
-    return [play_random_game(game_seed(master_seed, i), rules, game_index=i)
-            for i in indices]
+class _SharedCounter:
+    """The next game index, shared under a lock by the caller and its
+    children, so each process takes a game whenever it is free."""
+
+    def __init__(self) -> None:
+        self.lock = Lock()
+        self.value = RawValue("q", 0)
+
+    def __call__(self) -> int:
+        with self.lock:
+            index = self.value.value
+            self.value.value = index + 1
+        return index
 
 
-def _send_share(sender: Connection, indices: range, master_seed: int,
-                rules: Rules) -> None:
-    """A child process's body: play one share and send back its records, or
-    the exception that stopped it."""
+def _play_claimed(next_game: Callable[[], int], games: int, master_seed: int,
+                  rules: Rules) -> list[GameRecord]:
+    """Play the games whose indices `next_game` hands out, until it passes
+    the last one."""
+    records = []
+    index = next_game()
+    while index < games:
+        records.append(play_random_game(game_seed(master_seed, index), rules,
+                                        game_index=index))
+        index = next_game()
+    return records
+
+
+def _send_share(sender: Connection, next_game: _SharedCounter, games: int,
+                master_seed: int, rules: Rules) -> None:
+    """A child process's body: play games and send back their records, or
+    the exception that stopped it with its formatted traceback."""
     try:
-        result: list[GameRecord] | Exception = _play_share(indices, master_seed, rules)
+        sender.send(_play_claimed(next_game, games, master_seed, rules))
     except Exception as exc:
-        result = exc
-    sender.send(result)
+        import traceback    # only a failing child pays for the import
+        trace = traceback.format_exc()
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            exc = RuntimeError("a self-play child process raised an exception "
+                               "that cannot be sent back; its traceback follows")
+        sender.send((exc, trace))
+
+
+class ChildTraceback(Exception):
+    """The traceback, formatted in the child, of an exception a self-play
+    child process sent back; chained as the cause of the re-raised one."""
+
+    def __str__(self) -> str:
+        return "\n" + self.args[0]
 
 
 def _receive_share(receiver: Connection) -> list[GameRecord]:
@@ -195,8 +235,9 @@ def _receive_share(receiver: Connection) -> list[GameRecord]:
     except EOFError:
         raise RuntimeError("a self-play child process exited without sending "
                            "its games") from None
-    if isinstance(result, Exception):
-        raise result
+    if isinstance(result, tuple):
+        exc, trace = result
+        raise exc from ChildTraceback(trace)
     return result
 
 
@@ -214,28 +255,32 @@ def run_simulation(
     arithmetic-mean size.  Returns (summary, series rows, game records).
 
     `workers` only distributes the games, capped at the games and the usable
-    CPUs; it cannot change any output.  Game i goes to share i % workers.
-    The caller plays share 0 itself and starts one child process per other
-    share, which sends its records back over its own pipe, so `workers` N
-    starts N - 1 children and one worker starts none.  A child's exception
-    is raised again here, and no child outlives the call.
+    CPUs; it cannot change any output.  The caller plays games itself and
+    starts one child process per other worker, so `workers` N starts N - 1
+    children and one worker starts none.  Every process takes the next
+    unplayed game index from one shared counter whenever it is free, so a
+    process on a slower core plays fewer games; each child sends its records
+    back over its own pipe.  A child's exception is raised again here, with
+    the child's traceback as its cause, and no child outlives the call.
     """
     if games < 1:
         raise ValueError("games must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
     workers = min(workers, games, usable_cpus())
-    shares = [range(k, games, workers) for k in range(workers)]
+    # Alone, the caller counts without a lock: the lock and the shared value
+    # would cost a one-worker run ~10 ms of imports.
+    next_game = _SharedCounter() if workers > 1 else itertools.count().__next__
     children: list[tuple[Process, Connection]] = []
     try:
-        for indices in shares[1:]:
+        for _ in range(workers - 1):
             receiver, sender = Pipe(duplex=False)
             child = Process(target=_send_share,
-                            args=(sender, indices, master_seed, rules))
+                            args=(sender, next_game, games, master_seed, rules))
             child.start()
             children.append((child, receiver))
             sender.close()
-        played = [_play_share(shares[0], master_seed, rules)]
+        played = [_play_claimed(next_game, games, master_seed, rules)]
         played += [_receive_share(receiver) for _, receiver in children]
     except BaseException:
         # A child still sending would block its exit: stop it.
@@ -246,7 +291,7 @@ def run_simulation(
         for child, receiver in children:
             child.join()
             receiver.close()
-    records = [played[i % workers][i // workers] for i in range(games)]
+    records = sorted(itertools.chain(*played), key=attrgetter("game_index"))
 
     rows: list[SeriesRow] = []
     total_plies = 0

@@ -3,11 +3,13 @@ byte-stable output files."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import multiprocessing
 import os
 import random
+import time
 
 import pytest
 
@@ -151,15 +153,32 @@ def _count_children(monkeypatch, cpus: int) -> list[multiprocessing.Process]:
     return started
 
 
-def _fail_on_game(monkeypatch, index: int, fail) -> None:
-    """Make play_random_game call `fail()` on game `index`."""
+def _fork_children(monkeypatch, cpus: int = 2) -> None:
+    """Have run_simulation use up to `cpus` workers and fork its children,
+    so that they inherit this process's patches under any default start
+    method."""
+    fork = multiprocessing.get_context("fork")
+    for name in ("Lock", "Pipe", "Process"):
+        monkeypatch.setattr(jieqi.simulator, name, getattr(fork, name))
+    monkeypatch.setattr(jieqi.simulator, "usable_cpus", lambda: cpus)
+
+
+def _fail_in(monkeypatch, where: str, fail) -> None:
+    """Make play_random_game call `fail()` on every game played in the caller
+    or in a forked child, as `where` says.  When a child is to fail, the
+    caller plays slowly, so that the child surely takes a game."""
+    caller = os.getpid()
     play = jieqi.simulator.play_random_game
 
     def play_or_fail(seed, rules=STANDARD_RULES, game_index=0):
-        if game_index == index:
+        in_caller = os.getpid() == caller
+        if in_caller == (where == "caller"):
             fail()
+        if in_caller:
+            time.sleep(0.02)
         return play(seed, rules, game_index)
 
+    _fork_children(monkeypatch)
     monkeypatch.setattr(jieqi.simulator, "play_random_game", play_or_fail)
 
 
@@ -167,8 +186,31 @@ def _raise_game_failed() -> None:
     raise ValueError("game failed")
 
 
+class _NeedsTwoArgs(Exception):
+    """Pickles, but cannot be rebuilt from its pickle."""
+
+    def __init__(self, a: str, b: str) -> None:
+        super().__init__(f"{a} {b}")
+
+
+class _HoldsLambda(Exception):
+    """Cannot be pickled."""
+
+    def __init__(self, message: str) -> None:
+        super().__init__(message)
+        self.hook = lambda: None
+
+
+def _raise_needs_two_args() -> None:
+    raise _NeedsTwoArgs("game", "failed")
+
+
+def _raise_holds_lambda() -> None:
+    raise _HoldsLambda("game failed")
+
+
 _needs_fork = pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
+    "fork" not in multiprocessing.get_all_start_methods(),
     reason="a patch of this process reaches a child only through fork")
 
 
@@ -206,21 +248,73 @@ class TestRunSimulation:
         assert multiprocessing.active_children() == []
 
     # At 2 workers the caller plays the even games and the child the odd.
-    # When the caller's game 0 fails, the child's 100 games are more records
-    # than its pipe buffers, so it must be stopped, not waited for.
+    # When the caller's first game fails, the child goes on to the other
+    # 199 games, more records than its pipe buffers, so it must be stopped,
+    # not waited for.
     @_needs_fork
-    @pytest.mark.parametrize("index, games", [(0, 200), (1, 6)], ids=["caller", "child"])
-    def test_exception_raised_in_caller(self, monkeypatch, index: int, games: int) -> None:
-        _fail_on_game(monkeypatch, index, _raise_game_failed)
-        monkeypatch.setattr(jieqi.simulator, "usable_cpus", lambda: 2)
+    @pytest.mark.parametrize("where, games", [("caller", 200), ("child", 6)],
+                             ids=["caller", "child"])
+    def test_exception_raised_in_caller(self, monkeypatch, where: str, games: int) -> None:
+        _fail_in(monkeypatch, where, _raise_game_failed)
         with pytest.raises(ValueError, match="game failed"):
             run_simulation(games=games, master_seed=3, workers=2)
         assert multiprocessing.active_children() == []
 
     @_needs_fork
+    def test_child_traceback_chained(self, monkeypatch) -> None:
+        _fail_in(monkeypatch, "child", _raise_game_failed)
+        with pytest.raises(ValueError) as raised:
+            run_simulation(games=6, master_seed=3, workers=2)
+        cause = raised.value.__cause__
+        assert isinstance(cause, jieqi.simulator.ChildTraceback)
+        assert "_raise_game_failed" in str(cause)
+        assert "ValueError: game failed" in str(cause)
+
+    @_needs_fork
+    @pytest.mark.parametrize("fail", [_raise_needs_two_args, _raise_holds_lambda],
+                             ids=["unpickle-fails", "pickle-fails"])
+    def test_exception_that_cannot_be_sent(self, monkeypatch, fail) -> None:
+        _fail_in(monkeypatch, "child", fail)
+        with pytest.raises(RuntimeError, match="cannot be sent back") as raised:
+            run_simulation(games=6, master_seed=3, workers=2)
+        assert "game failed" in str(raised.value.__cause__)
+        assert multiprocessing.active_children() == []
+
+    @_needs_fork
+    def test_free_process_takes_the_next_game(self, monkeypatch) -> None:
+        caller = os.getpid()
+        played_here: list[int] = []
+        play = jieqi.simulator.play_random_game
+
+        def slow_in_caller(seed, rules=STANDARD_RULES, game_index=0):
+            if os.getpid() == caller:
+                played_here.append(game_index)
+                time.sleep(0.05)
+            return play(seed, rules, game_index)
+
+        _fork_children(monkeypatch)
+        monkeypatch.setattr(jieqi.simulator, "play_random_game", slow_in_caller)
+        _, _, records = run_simulation(games=20, master_seed=3, workers=2)
+        assert [r.game_index for r in records] == list(range(20))
+        # a static split would leave ten games to the slow caller
+        assert len(played_here) <= 5
+
+    @_needs_fork
+    def test_every_game_taken_once_under_contention(self, monkeypatch) -> None:
+        # Near-free games keep four processes on two cores claiming back to
+        # back: a lost counter update would hand out an index twice.
+        stub = dataclasses.replace(play_random_game(7), plies=1, branching_per_ply=[46],
+                                   log10_infoset_per_ply=[17.0], infoset_total=10 ** 17)
+        _fork_children(monkeypatch, cpus=4)
+        monkeypatch.setattr(jieqi.simulator, "play_random_game",
+                            lambda seed, rules, game_index: dataclasses.replace(
+                                stub, game_index=game_index))
+        _, _, records = run_simulation(games=20000, master_seed=3, workers=4)
+        assert [r.game_index for r in records] == list(range(20000))
+
+    @_needs_fork
     def test_child_exit_without_sending_raises(self, monkeypatch) -> None:
-        _fail_on_game(monkeypatch, 1, lambda: os._exit(1))
-        monkeypatch.setattr(jieqi.simulator, "usable_cpus", lambda: 2)
+        _fail_in(monkeypatch, "child", lambda: os._exit(1))
         with pytest.raises(RuntimeError, match="without sending"):
             run_simulation(games=6, master_seed=3, workers=2)
         assert multiprocessing.active_children() == []
