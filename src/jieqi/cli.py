@@ -53,6 +53,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     sim = sub.add_parser("simulate", help="run random self-play games")
+    sim.set_defaults(run=_cmd_simulate)
     sim.add_argument("--games", type=int, default=10000)
     sim.add_argument("--seed", type=int, default=0, help="master seed")
     sim.add_argument("--draw-plies", type=int, default=40,
@@ -65,22 +66,26 @@ def build_parser() -> _Parser:
                      help="palace-confined face-down guard-role movement")
 
     cnt = sub.add_parser("count-infosets", help="exact number of information sets")
+    cnt.set_defaults(run=_cmd_count_infosets)
     cnt.add_argument("--pieces-per-side", type=int, default=15)
     cnt.add_argument("--board-squares", type=int, default=88)
     cnt.add_argument("--dark-squares-per-side", type=int, default=15)
     cnt.add_argument("--format", choices=("text", "json"), default="text")
 
     isz = sub.add_parser("infoset-size", help="information-set size of a state")
+    isz.set_defaults(run=_cmd_infoset_size)
     isz.add_argument("--state", required=True, help="JFEN state text")
     isz.add_argument("--viewer", choices=("red", "black"),
                      help="viewpoint (default: the side to move)")
 
     cmp_ = sub.add_parser("compare", help="complexity comparison table")
+    cmp_.set_defaults(run=_cmd_compare)
     cmp_.add_argument("--format", choices=("csv", "md", "json"), default="csv")
     cmp_.add_argument("--measured", metavar="SUMMARY_JSON",
                       help="append a measured row from a simulate run")
 
     pft = sub.add_parser("perft", help="count move paths from a state")
+    pft.set_defaults(run=_cmd_perft)
     pft.add_argument("--state", required=True,
                      help="JFEN state text with its hidden section")
     pft.add_argument("--depth", type=int, required=True)
@@ -146,7 +151,7 @@ def _cmd_count_infosets(parser: _Parser, args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_infoset_size(args: argparse.Namespace) -> int:
+def _cmd_infoset_size(parser: _Parser, args: argparse.Namespace) -> int:
     state = decode_state(args.state)
     viewer = state.side_to_move
     if args.viewer is not None:
@@ -211,23 +216,12 @@ def run_cli(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "simulate":
-            return _cmd_simulate(parser, args)
-        if args.command == "count-infosets":
-            return _cmd_count_infosets(parser, args)
-        if args.command == "infoset-size":
-            return _cmd_infoset_size(args)
-        if args.command == "compare":
-            return _cmd_compare(parser, args)
-        if args.command == "perft":
-            return _cmd_perft(parser, args)
-        parser.error(f"unknown command {args.command}")
+        return args.run(parser, args)
     except SystemExit as exc:  # argparse --help or usage error
         return int(exc.code or 0)
     except JfenError as exc:
         print(f"bad state text: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 def main() -> None:

@@ -14,7 +14,6 @@ from typing import NamedTuple
 from .board import KIND_INDEX, NON_KING_KINDS, START_COUNTS, PieceKind
 
 
-@lru_cache(maxsize=None)
 def binomial(n: int, k: int) -> int:
     """Exact C(n, k); 0 when k is out of range."""
     if n < 0:
@@ -34,12 +33,13 @@ def exact_log10(n: int) -> float:
 class KindMultiset(NamedTuple("_Counts", [("counts", tuple[int, ...])])):
     """Multiset of non-king piece kinds, stored as a count vector indexed
     like NON_KING_KINDS. Immutable and hashable so it can key caches.
-    `__new__` rejects a bad vector; the NamedTuple `_make` and `_replace`
-    skip that check, and nothing in the package calls them."""
+    `__new__` rejects a bad vector. `hidden_pools` checks its counts itself
+    and builds its pools with `tuple.__new__`; the NamedTuple `_make` and
+    `_replace` skip the check too, and nothing in the package calls them."""
 
     __slots__ = ()
 
-    def __new__(cls, counts: tuple[int, ...] = (0, 0, 0, 0, 0, 0)) -> KindMultiset:
+    def __new__(cls, counts: tuple[int, ...]) -> KindMultiset:
         if len(counts) != len(NON_KING_KINDS) or min(counts) < 0:
             raise ValueError(f"bad kind counts {counts!r}")
         return tuple.__new__(cls, (counts,))
@@ -70,6 +70,7 @@ class KindMultiset(NamedTuple("_Counts", [("counts", tuple[int, ...])])):
 START_POOL = KindMultiset(START_COUNTS)
 
 
+@lru_cache(maxsize=None)
 def multiset_arrangements(pool: KindMultiset, k: int) -> int:
     """Number of distinct ordered assignments of k identities drawn from
     `pool` to k labeled slots.
@@ -77,16 +78,13 @@ def multiset_arrangements(pool: KindMultiset, k: int) -> int:
     Computed by dynamic programming over kinds: appending j copies of a kind
     to an arrangement of `used` slots can interleave in C(used + j, j) ways.
     Equals the multinomial k! / prod(counts!) when k == pool.total().
+    Cached on (pool, k), the package's one count cache; a call with k out
+    of range raises every time, since the cache keeps no exceptions.
     """
     if k < 0 or k > pool.total():
         raise ValueError(f"need 0 <= k <= |pool|, got k={k} |pool|={pool.total()}")
-    return _arrangements(pool.counts, k)
-
-
-@lru_cache(maxsize=None)
-def _arrangements(counts: tuple[int, ...], k: int) -> int:
     ways = [1] + [0] * k
-    for c in counts:
+    for c in pool.counts:
         if c == 0:
             continue
         nxt = [0] * (k + 1)

@@ -52,8 +52,8 @@ def hidden_pools(obs: Observation) -> HiddenPools:
 
     Each pool is the initial count vector minus that side's revealed
     pieces on the board minus the identities the viewer learned from
-    captures.  Raises ValueError on an observation whose capture/reveal
-    counts exceed the initial material (corrupt input).
+    captures.  Raises ValueError on a corrupt observation: a pool with a
+    negative count or a total other than its face-down squares.
     """
     cells = Counter(filter(None, obs.view))
     own = obs.viewer
@@ -73,22 +73,15 @@ def hidden_pools(obs: Observation) -> HiddenPools:
             obs.opp_dark_captured_by_viewer.counts,
         )
     ]
-    try:
-        own_pool = KindMultiset(tuple(own_counts))
-        opp_pool = KindMultiset(tuple(opp_counts))
-    except ValueError as exc:
-        raise ValueError(f"corrupt observation: {exc}") from None
-    if (own_total := sum(own_counts)) != own_slots + obs.own_dark_lost_count:
-        raise ValueError(
-            "corrupt observation: own pool size "
-            f"{own_total} != {own_slots} slots + {obs.own_dark_lost_count} lost"
-        )
-    if (opp_total := sum(opp_counts)) != opp_slots:
-        raise ValueError(
-            f"corrupt observation: opponent pool size {opp_total} != "
-            f"{opp_slots} slots"
-        )
-    return HiddenPools(own_pool, own_slots, opp_pool, opp_slots)
+    own_squares = own_slots + obs.own_dark_lost_count
+    for whose, counts, squares in (("own", own_counts, own_squares),
+                                   ("opponent", opp_counts, opp_slots)):
+        if min(counts) < 0 or sum(counts) != squares:
+            raise ValueError(f"corrupt observation: {whose} pool {counts} "
+                             f"for {squares} face-down squares")
+    # The counts are checked, so the pools skip KindMultiset.__new__'s check.
+    return HiddenPools(tuple.__new__(KindMultiset, (tuple(own_counts),)), own_slots,
+                       tuple.__new__(KindMultiset, (tuple(opp_counts),)), opp_slots)
 
 
 def infoset_size(obs: Observation) -> int:

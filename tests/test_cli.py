@@ -59,6 +59,11 @@ class TestExitCodes:
         code, _, _ = run(capsys, "no-such-command")
         assert code == 1
 
+    def test_no_command_is_one(self, capsys) -> None:
+        code, _, err = run(capsys)
+        assert code == 1
+        assert "required" in err
+
     def test_malformed_state_is_two(self, capsys) -> None:
         code, _, err = run(capsys, "infoset-size", "--state", "xxxx r 0 0 - - -")
         assert code == 2

@@ -99,13 +99,21 @@ class TestHiddenPools:
         # Red revealed its own b2 piece by moving it
         assert red_pools.own_pool.total() == 14
 
-    def test_corrupt_observation_rejected(self) -> None:
+    @pytest.mark.parametrize("edit", [
+        # more Guards lost face up than the side has: a negative own count
+        dict(own_revealed_captured_by_opp=KindMultiset((3, 0, 0, 0, 0, 0))),
+        # a dark loss with every own piece still on the board: a total 15
+        # against 16 face-down squares, and no count negative
+        dict(own_dark_lost_count=1),
+        dict(opp_revealed_captured=KindMultiset((3, 0, 0, 0, 0, 0))),
+        # a Guard taken face up while all 15 opponent pieces stay face
+        # down: a total 14 against 15 squares, and no count negative
+        dict(opp_revealed_captured=KindMultiset((1, 0, 0, 0, 0, 0))),
+    ], ids=["own-negative", "own-total", "opponent-negative", "opponent-total"])
+    def test_corrupt_observation_rejected(self, edit) -> None:
         obs = observe(initial_state(0), Side.RED)
-        toomany = obs._replace(
-            own_revealed_captured_by_opp=KindMultiset((3, 0, 0, 0, 0, 0))
-        )
         with pytest.raises(ValueError, match="corrupt"):
-            hidden_pools(toomany)
+            hidden_pools(obs._replace(**edit))
 
 
 class TestInfosetSize:

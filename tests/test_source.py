@@ -41,6 +41,32 @@ def test_no_private_cross_module_imports() -> None:
     assert found == []
 
 
+#: functools' memoizing decorators.
+_CACHES = {"lru_cache", "cache"}
+
+
+def _names_cache(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Name) and node.id in _CACHES
+            or isinstance(node, ast.Attribute) and node.attr in _CACHES)
+
+
+def test_one_count_cache() -> None:
+    # multiset_arrangements caches every count a sizing needs; a cache
+    # under it (on binomial, or on a helper it calls) would only ever see
+    # its misses.  Every use of the decorator's name is counted, so an
+    # `lru_cache(...)(f)` call outside a decorator list fails too.
+    decorated, uses = [], []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        uses += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if _names_cache(node)]
+        decorated += [f"{path.name}:{node.name}" for node in ast.walk(tree)
+                      if isinstance(node, ast.FunctionDef)
+                      and any(_names_cache(d.func if isinstance(d, ast.Call) else d)
+                              for d in node.decorator_list)]
+    assert decorated == ["combinatorics.py:multiset_arrangements"]
+    assert len(uses) == 1, uses
+
+
 def _package_sources() -> dict[str, str]:
     return {path.name: path.read_text() for path in sorted(PACKAGE_DIR.rglob("*.py"))}
 
