@@ -54,13 +54,6 @@ class Side(IntEnum):
     def letter(self) -> str:
         return "rb"[self.value]
 
-    @classmethod
-    def from_letter(cls, letter: str) -> Side:
-        try:
-            return {"r": cls.RED, "b": cls.BLACK}[letter]
-        except KeyError:
-            raise ValueError(f"unknown side letter {letter!r}") from None
-
 
 #: Each side's opponent, indexed by Side: cheaper than the property per ply.
 OPPONENT = (Side.BLACK, Side.RED)
@@ -79,14 +72,6 @@ class PieceKind(IntEnum):
     @property
     def letter(self) -> str:
         return _KIND_LETTERS[self.value]
-
-    @classmethod
-    def from_letter(cls, letter: str) -> PieceKind:
-        # One letter exactly: str.find also matches "" and prefixes ("KG").
-        idx = _KIND_LETTERS.find(letter.upper()) if len(letter) == 1 else -1
-        if idx < 0:
-            raise ValueError(f"unknown piece letter {letter!r}")
-        return cls(idx)
 
 
 # Kinds that can be face-down, in the order used for multiset count vectors.

@@ -21,6 +21,7 @@ from .enumeration import CountParams, count_information_sets
 from .infoset import infoset_size
 from .jfen import JfenError, decode_state
 from .simulator import (
+    format_stat,
     run_simulation,
     usable_cpus,
     write_games_csv,
@@ -93,10 +94,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".6g")
-
-
 def _cmd_simulate(parser: _Parser, args: argparse.Namespace) -> int:
     if args.games < 1:
         parser.error("--games must be >= 1")
@@ -119,11 +116,11 @@ def _cmd_simulate(parser: _Parser, args: argparse.Namespace) -> int:
     write_series_csv(out / "series.csv", series)
     write_summary_json(out / "summary.json", summary, args.seed, rules)
     print(f"games={summary.games}")
-    print(f"mean_branching={_fmt(summary.mean_branching)}")
-    print(f"mean_length_plies={_fmt(summary.mean_length_plies)}")
-    print(f"mean_log10_infoset={_fmt(summary.mean_log10_infoset)}")
-    print(f"log10_mean_infoset={_fmt(summary.log10_mean_infoset)}")
-    print(f"log10_gtc={_fmt(summary.log10_gtc)}")
+    print(f"mean_branching={format_stat(summary.mean_branching)}")
+    print(f"mean_length_plies={format_stat(summary.mean_length_plies)}")
+    print(f"mean_log10_infoset={format_stat(summary.mean_log10_infoset)}")
+    print(f"log10_mean_infoset={format_stat(summary.log10_mean_infoset)}")
+    print(f"log10_gtc={format_stat(summary.log10_gtc)}")
     print(f"wrote {out / 'games.csv'}, {out / 'series.csv'}, {out / 'summary.json'}")
     return 0
 
@@ -145,9 +142,9 @@ def _cmd_count_infosets(parser: _Parser, args: argparse.Namespace) -> int:
         }, indent=2))
     else:
         print(f"information_sets={primary}")
-        print(f"log10={_fmt(exact_log10(primary))}")
+        print(f"log10={format_stat(exact_log10(primary))}")
         print(f"always_split_offboard={variant}")
-        print(f"always_split_offboard_log10={_fmt(exact_log10(variant))}")
+        print(f"always_split_offboard_log10={format_stat(exact_log10(variant))}")
     return 0
 
 
@@ -158,7 +155,7 @@ def _cmd_infoset_size(parser: _Parser, args: argparse.Namespace) -> int:
         viewer = Side.RED if args.viewer == "red" else Side.BLACK
     size = infoset_size(observe(state, viewer))
     print(size)
-    print(f"log10={_fmt(exact_log10(size))}")
+    print(f"log10={format_stat(exact_log10(size))}")
     return 0
 
 
@@ -181,7 +178,7 @@ def _cmd_compare(parser: _Parser, args: argparse.Namespace) -> int:
         rows.append(_load_measured(parser, args.measured))
 
     def cell(x: float) -> str:
-        return str(int(x)) if float(x).is_integer() else _fmt(x)
+        return str(int(x)) if float(x).is_integer() else format_stat(x)
 
     header = ("game", "branching_factor", "avg_game_length", "log10_gtc")
     if args.format == "json":

@@ -23,16 +23,25 @@ hidden    the true identities of all face-down pieces: comma-separated
           exactly once; or '-' when omitted.  A state decoded without its
           hidden section supports observation-level operations only.
 
+One table, `_CELL_LETTER`, spells the letters of the text: the board's,
+and the kind letters of the capture lists and the hidden section, which
+are the face-up board letters of the piece's side.  The encoder writes
+through it and the decoder reads through tables derived from it, so the
+decoder accepts exactly the letters the encoder writes; side letters are
+read back through `Side.letter` the same way.
+
 Terminal status and legal moves are not encoded; decoding builds the state
 with `engine.make_state`, the builder `apply_move` uses too, so a decoded
-state carries the status and moves play gave it.  `make_state` reads a
-King capture from the capture that ended the game, so the decoder first
-rejects the King captures no game reaches: one that is not the last entry
-of its capturer's list, a nonzero no-capture counter after it, or the
-winner to move.
-Piece conservation is checked through `infoset.hidden_pools`, the one
-derivation of a side's unaccounted pool (starting material minus revealed
-minus captured pieces).
+state carries the status and moves play gave it.  So the decoder checks
+everything it can before it calls `make_state`, in this order: each
+field's grammar; the Kings; then the counters against the draw limit, the
+captures and the side to move.  `make_state` reads a King capture from
+the capture that ended the game, so the King check rejects the King
+captures no game reaches: one that is not the last entry of its
+capturer's list, a nonzero no-capture counter after it, or the winner to
+move.  Piece conservation is checked after `make_state`, through
+`infoset.hidden_pools`, the one derivation of a side's unaccounted pool
+(starting material minus revealed minus captured pieces).
 
 Encoding is canonical and bit-exact: a given state always encodes to the
 same single-line string, and decode(encode(state)) round-trips exactly.
@@ -72,16 +81,19 @@ class JfenError(ValueError):
     """Malformed state text; the message names the offending field."""
 
 
-def _cased(letter: str, side: Side) -> str:
-    return letter if side is Side.RED else letter.lower()
-
-
-#: Board letter of every non-empty cell code, and its inverse.
+#: Board letter of every non-empty cell code, and its inverse.  Red's
+#: letters are uppercase and Black's lowercase.
 _CELL_LETTER = {
-    **{make_cell(side, kind): _cased(kind.letter, side) for side in Side for kind in PieceKind},
-    **{DARK_CELL[side]: _cased("X", side) for side in Side},
+    **{make_cell(side, kind): (kind.letter, kind.letter.lower())[side]
+       for side in Side for kind in PieceKind},
+    **{DARK_CELL[side]: "Xx"[side] for side in Side},
 }
 _LETTER_CELL = {letter: cell for cell, letter in _CELL_LETTER.items()}
+#: Each side's face-up kind of each of its letters, indexed by Side: the
+#: letters of the capture lists and the hidden section.
+_LETTER_KIND = tuple({_CELL_LETTER[make_cell(side, kind)]: kind for kind in PieceKind}
+                     for side in Side)
+_LETTER_SIDE = {side.letter: side for side in Side}
 
 
 def _captures_field(entries: tuple[Capture, ...], owner: Side) -> str:
@@ -89,7 +101,7 @@ def _captures_field(entries: tuple[Capture, ...], owner: Side) -> str:
         return "-"
     out = []
     for kind, was_dark in entries:
-        letter = _cased(kind.letter, owner)
+        letter = _CELL_LETTER[make_cell(owner, kind)]
         out.append(letter + "*" if was_dark else letter)
     return "".join(out)
 
@@ -117,7 +129,7 @@ def encode_state(state: GameState, include_hidden: bool = True) -> str:
                     raise ValueError(f"cannot encode hidden section: identity of "
                                      f"{square_name(sq)} is undetermined")
                 side = Side.RED if cell > 0 else Side.BLACK
-                entries.append(f"{square_name(sq)}={_cased(kind.letter, side)}")
+                entries.append(f"{square_name(sq)}={_CELL_LETTER[make_cell(side, kind)]}")
         if run:
             row.append(str(run))
         ranks.append("".join(row))
@@ -173,18 +185,15 @@ def _parse_board(field: str) -> list[int]:
 def _parse_captures(field: str, field_name: str, owner: Side) -> tuple[Capture, ...]:
     if field == "-":
         return ()
+    kinds = _LETTER_KIND[owner]
     entries = []
     i = 0
     while i < len(field):
-        ch = field[i]
-        expected_case = ch.isupper() if owner is Side.RED else ch.islower()
-        if not ch.isalpha() or not expected_case:
-            raise JfenError(f"{field_name}: bad capture letter {ch!r}")
-        try:
-            kind = PieceKind.from_letter(ch)
-        except ValueError as exc:
-            raise JfenError(f"{field_name}: {exc}") from None
-        was_dark = i + 1 < len(field) and field[i + 1] == "*"
+        kind = kinds.get(field[i])
+        if kind is None:
+            raise JfenError(f"{field_name}: bad capture letter {field[i]!r} "
+                            f"for a {owner.name} piece")
+        was_dark = field.startswith("*", i + 1)
         if was_dark and kind is PieceKind.KING:
             raise JfenError(f"{field_name}: a King cannot be captured face-down")
         entries.append(Capture(kind, was_dark))
@@ -197,9 +206,10 @@ def _parse_hidden(field: str, board: list[int]) -> tuple[PieceKind | None, ...]:
     if field == "-":
         return tuple(hidden)
     dark_squares = {sq for sq in range(NUM_SQUARES) if board[sq] in DARK_CELL}
+    last = -1    # board-order position of the previous entry's square
     for entry in field.split(","):
         name, sep, letter = entry.partition("=")
-        if not sep or len(letter) != 1:
+        if not sep:
             raise JfenError(f"hidden: bad entry {entry!r}")
         try:
             sq = parse_square(name)
@@ -209,12 +219,15 @@ def _parse_hidden(field: str, board: list[int]) -> tuple[PieceKind | None, ...]:
             raise JfenError(f"hidden: {name} is not a face-down square")
         if hidden[sq] is not None:
             raise JfenError(f"hidden: duplicate entry for {name}")
-        if (board[sq] > 0) is not letter.isupper():
-            raise JfenError(f"hidden: case of {entry!r} does not match the piece's side")
-        try:
-            kind = PieceKind.from_letter(letter)
-        except ValueError as exc:
-            raise JfenError(f"hidden: {exc}") from None
+        # Board order runs rank 9 down to 0, and file a to i within a rank.
+        position = (RANKS - 1 - sq // FILES) * FILES + sq % FILES
+        if position < last:
+            raise JfenError(f"hidden: entry {entry!r} is out of board order")
+        last = position
+        side = Side.RED if board[sq] > 0 else Side.BLACK
+        kind = _LETTER_KIND[side].get(letter)
+        if kind is None:
+            raise JfenError(f"hidden: bad letter in {entry!r} for a {side.name} piece")
         if kind is PieceKind.KING:
             raise JfenError("hidden: a King cannot be face-down")
         hidden[sq] = kind
@@ -289,20 +302,24 @@ def _check_material(state: GameState, side: Side, has_hidden: bool) -> None:
             )
 
 
-def _check_counters(state: GameState) -> None:
-    """The counters agree with play: Red moves first and nobody passes, and
-    the no-capture counter restarts at each capture, so it counts every ply
-    of a game without captures and fewer plies of any other."""
-    psc, plies = state.plies_since_capture, state.ply_count
-    if any(state.captures):
+def _check_counters(side_to_move: Side, psc: int, plies: int,
+                    captures: tuple[tuple[Capture, ...], tuple[Capture, ...]],
+                    rules: Rules) -> None:
+    """The counters agree with play: a game ends at the draw limit, Red
+    moves first and nobody passes, and the no-capture counter restarts at
+    each capture, so it counts every ply of a game without captures and
+    fewer plies of any other."""
+    if psc > rules.draw_plies:
+        raise JfenError(f"plies-since-capture {psc} exceeds the draw limit {rules.draw_plies}")
+    if any(captures):
         if psc >= plies:
             raise JfenError(f"plies-since-capture {psc} must be below the ply count "
                             f"{plies} once a piece has been captured")
     elif psc != plies:
         raise JfenError(f"plies-since-capture {psc} must equal the ply count {plies} "
                         "while nothing has been captured")
-    if state.side_to_move is not (Side.BLACK if plies % 2 else Side.RED):
-        raise JfenError(f"side to move: {state.side_to_move.name} cannot move at ply "
+    if side_to_move is not (Side.BLACK if plies % 2 else Side.RED):
+        raise JfenError(f"side to move: {side_to_move.name} cannot move at ply "
                         f"{plies}; Red moves at even plies and Black at odd ones")
 
 
@@ -329,28 +346,22 @@ def decode_state(text: str, rules: Rules = STANDARD_RULES) -> GameState:
     board_f, side_f, psc_f, plyc_f, capr_f, capb_f, hidden_f = fields
 
     board = _parse_board(board_f)
-    try:
-        side_to_move = Side.from_letter(side_f)
-    except ValueError as exc:
-        raise JfenError(f"side to move: {exc}") from None
+    side_to_move = _LETTER_SIDE.get(side_f)
+    if side_to_move is None:
+        raise JfenError(f"side to move: bad side letter {side_f!r}")
     plies_since_capture = _parse_counter(psc_f)
     ply_count = _parse_counter(plyc_f)
-    if plies_since_capture > rules.draw_plies:
-        raise JfenError(
-            f"plies-since-capture {plies_since_capture} exceeds the draw limit {rules.draw_plies}"
-        )
-
     captures = (_parse_captures(capr_f, "captured-by-red", Side.BLACK),
                 _parse_captures(capb_f, "captured-by-black", Side.RED))
     hidden = _parse_hidden(hidden_f, board)
     # Before `make_state`, which reads a King capture from these fields
     # and assumes they are reachable.
     _check_kings(board, side_to_move, plies_since_capture, captures)
+    _check_counters(side_to_move, plies_since_capture, ply_count, captures, rules)
 
     board = tuple(board)
     state = make_state(board, side_squares(board), hidden, side_to_move, ply_count,
                        plies_since_capture, captures, rules)
     for side in (Side.RED, Side.BLACK):
         _check_material(state, side, hidden_f != "-")
-    _check_counters(state)
     return state

@@ -333,8 +333,9 @@ def run_simulation(
 # output files
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    """Fixed 6-significant-digit rendering used in all CSV output."""
+def format_stat(x: float) -> str:
+    """Fixed 6-significant-digit rendering of a measured figure, used in
+    all CSV output and in the figures the CLI prints."""
     return format(x, ".6g")
 
 
@@ -343,7 +344,7 @@ def write_games_csv(path: Path, records: list[GameRecord]) -> None:
     for rec in records:
         lines.append(
             f"{rec.game_index},{rec.seed},{rec.plies},{rec.result.label()},"
-            f"{_fmt(rec.mean_branching)},{_fmt(rec.mean_log10_infoset)}"
+            f"{format_stat(rec.mean_branching)},{format_stat(rec.mean_log10_infoset)}"
         )
     path.write_text("\n".join(lines) + "\n")
 
@@ -355,9 +356,9 @@ def write_series_csv(path: Path, series: list[SeriesRow]) -> None:
     ]
     for row in series:
         lines.append(
-            f"{row.games_completed},{_fmt(row.cum_avg_branching)},"
-            f"{_fmt(row.cum_avg_length)},{_fmt(row.cum_avg_log10_infoset)},"
-            f"{_fmt(row.cum_log10_gtc)}"
+            f"{row.games_completed},{format_stat(row.cum_avg_branching)},"
+            f"{format_stat(row.cum_avg_length)},{format_stat(row.cum_avg_log10_infoset)},"
+            f"{format_stat(row.cum_log10_gtc)}"
         )
     path.write_text("\n".join(lines) + "\n")
 

@@ -26,6 +26,9 @@ INITIAL_JFEN = (
     "xxxxkxxxx/9/1x5x1/x1x1x1x1x/9/9/X1X1X1X1X/1X5X1/9/XXXXKXXXX r 0 0 - - -"
 )
 
+#: The kind of each kind letter; `build_state` looks its letters up uppercased.
+_KIND_OF_LETTER = {kind.letter: kind for kind in PieceKind}
+
 
 def build_state(
     red: dict[str, str] | None = None,
@@ -56,11 +59,11 @@ def build_state(
             sq = parse_square(name)
             assert board[sq] == 0, f"square {name} used twice"
             if entry.startswith("dark:"):
-                kind = PieceKind.from_letter(entry[5:])
+                kind = _KIND_OF_LETTER[entry[5:].upper()]
                 board[sq] = DARK_CELL[side]
                 hidden[sq] = kind
             else:
-                kind = PieceKind.from_letter(entry)
+                kind = _KIND_OF_LETTER[entry.upper()]
                 board[sq] = make_cell(side, kind)
             on_board[side].append(kind)
 

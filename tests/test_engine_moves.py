@@ -59,13 +59,6 @@ class TestRoleOfSquare:
         assert len(named) == 32
 
 
-class TestKindLetters:
-    @pytest.mark.parametrize("text", ["", "KG", "gm", "X", "k*"])
-    def test_exactly_one_known_letter(self, text: str) -> None:
-        with pytest.raises(ValueError, match="letter"):
-            PieceKind.from_letter(text)
-
-
 class TestInitialPosition:
     def test_forty_six_moves(self) -> None:
         for seed in (0, 1, 42):

@@ -8,7 +8,7 @@ import random
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import INITIAL_JFEN, build_state, mv, random_state
 from jieqi import (
@@ -305,6 +305,49 @@ class TestMalformedInputs:
         with pytest.raises(JfenError, match="captured-by-red"):
             decode_state(INITIAL_JFEN.replace(" - - -", " R - -", 1))
 
+    #: Index of each field in the text.
+    FIELDS = {"side": 1, "captured-by-red": 4, "captured-by-black": 5, "hidden": 6}
+
+    @pytest.mark.parametrize("field, value, match", [
+        # a9 holds a face-down Black piece and i0 a face-down Red one.
+        ("hidden", "a9=R", "hidden"),
+        ("hidden", "i0=p", "hidden"),
+        ("hidden", "i0=K", "King"),
+        ("hidden", "a9=k", "King"),
+        ("hidden", "a9=X", "hidden"),
+        ("hidden", "i0=X", "hidden"),
+        ("hidden", "a9=x", "hidden"),
+        ("hidden", "a9=PP", "hidden"),
+        ("hidden", "a9=pp", "hidden"),
+        ("hidden", "a9=", "hidden"),
+        ("hidden", "a9=KG", "hidden"),
+        ("hidden", "a9=gm", "hidden"),
+        ("hidden", "a9=k*", "hidden"),
+        # captured-by-red holds Black letters, captured-by-black Red ones.
+        ("captured-by-red", "X", "captured-by-red"),
+        ("captured-by-red", "x", "captured-by-red"),
+        ("captured-by-red", "k*", "captured-by-red"),
+        ("captured-by-black", "K*", "captured-by-black"),
+        ("captured-by-red", "*p", "captured-by-red"),
+        ("captured-by-black", "*", "captured-by-black"),
+        ("captured-by-black", "Rp", "captured-by-black"),
+        ("captured-by-red", "KG", "captured-by-red"),
+        ("captured-by-black", "gm", "captured-by-black"),
+        ("captured-by-red", "", "fields"),
+        ("side", "R", "side"),
+        ("side", "rb", "side"),
+        ("side", "", "fields"),
+        ("side", "KG", "side"),
+        ("side", "gm", "side"),
+        ("side", "X", "side"),
+        ("side", "k*", "side"),
+    ])
+    def test_bad_letter(self, field: str, value: str, match: str) -> None:
+        fields = INITIAL_JFEN.split(" ")
+        fields[self.FIELDS[field]] = value
+        with pytest.raises(JfenError, match=match):
+            decode_state(" ".join(fields))
+
     def test_hidden_mismatches(self) -> None:
         state = initial_state(0)
         text = encode_state(state)
@@ -351,22 +394,36 @@ class TestMutatedText:
         seed=st.integers(0, 7),
         plies=st.sampled_from([0, 10, 40, 120]),
         include_hidden=st.booleans(),
+        swap=st.none() | st.tuples(st.integers(0, 100), st.integers(0, 100)),
         edits=st.lists(
             st.tuples(st.integers(0, 10_000), st.sampled_from(_MUTATION_CHARS)),
-            min_size=1, max_size=2,
+            max_size=2,
         ),
     )
+    # Two hidden entries out of board order, and nothing else changed.
+    @example(seed=0, plies=0, include_hidden=True, swap=(0, 1), edits=[])
     def test_only_jfen_errors_and_clean_exit_codes(
-        self, seed: int, plies: int, include_hidden: bool, edits: list[tuple[int, str]]
+        self, seed: int, plies: int, include_hidden: bool,
+        swap: tuple[int, int] | None, edits: list[tuple[int, str]],
     ) -> None:
         text = _reachable_text(seed, plies, include_hidden)
+        head, hidden = text.rsplit(" ", 1)
+        if swap is not None and hidden != "-":
+            entries = hidden.split(",")
+            i, j = (k % len(entries) for k in swap)
+            entries[i], entries[j] = entries[j], entries[i]
+            text = head + " " + ",".join(entries)
         for pos, ch in edits:
             i = pos % len(text)
             text = text[:i] + ch + text[i + 1:]
         try:
-            decode_state(text)
+            state = decode_state(text)
         except JfenError:
             pass
+        else:
+            # Encoding is canonical, so only the canonical text decodes.
+            with_hidden = not text.strip().endswith(" -")
+            assert encode_state(state, include_hidden=with_hidden) == text.strip()
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             code = run_cli(["infoset-size", "--state", text])

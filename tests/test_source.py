@@ -84,6 +84,20 @@ def test_kind_letters_spelled_once() -> None:
     assert sum(spellings.values()) == 1, spellings
 
 
+def test_letters_read_through_one_table() -> None:
+    # jfen's letter table spells every letter of the state text and reads
+    # each one back; a second reader (a case test, or a parser on the
+    # piece or side type) could accept a letter the table would not write.
+    readers = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE_DIR.rglob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+               if isinstance(node, ast.FunctionDef) and node.name == "from_letter"]
+    tree = ast.parse((PACKAGE_DIR / "jfen.py").read_text())
+    case_tests = [f"jfen.py:{node.lineno} {node.func.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in {"isupper", "islower", "isalpha", "upper"}]
+    assert readers + case_tests == []
+
+
 def test_generator_builds_no_moves() -> None:
     # The generator appends the Move objects that the plan table built at
     # import; building a fresh one per generated move is the cost the table
