@@ -13,7 +13,7 @@ The package has three layers:
     game-tree-complexity bound, with byte-stable CSV/JSON output.
 """
 
-from .board import PieceKind, Side, parse_square, square, square_name
+from .board import PieceKind, Side, square, square_name
 from .combinatorics import (
     KindMultiset,
     START_POOL,
@@ -92,7 +92,6 @@ __all__ = [
     "mover_infoset_size",
     "multiset_arrangements",
     "observe",
-    "parse_square",
     "play_random_game",
     "run_simulation",
     "square",

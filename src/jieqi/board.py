@@ -102,12 +102,6 @@ def square_name(sq: int) -> str:
     return FILE_LETTERS[sq % FILES] + str(sq // FILES)
 
 
-def parse_square(text: str) -> int:
-    if len(text) != 2 or text[0] not in FILE_LETTERS or text[1] not in "0123456789":
-        raise ValueError(f"bad square name {text!r}")
-    return square(FILE_LETTERS.index(text[0]), int(text[1]))
-
-
 # --- cell code ---------------------------------------------------------------
 
 def make_cell(side: Side, kind: PieceKind) -> int:

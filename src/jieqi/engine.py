@@ -334,21 +334,13 @@ def _plan_table() -> tuple[dict[int, tuple[tuple, ...]], ...]:
     Guard keep only their own palace; Guards otherwise step diagonally
     anywhere (JieQi relaxation); a Pawn steps forward, and sideways too
     once across the river.  A face-down cell moves by its square's role.
-    To keep the table small, each (dest, move) pair is one object (2,550 in
-    all) and plans are shared wherever pieces move alike.
+    Plans are shared wherever pieces move alike.
     """
     squares = range(NUM_SQUARES)
-    interned: list[tuple[int, Move] | None] = [None] * (NUM_SQUARES * NUM_SQUARES)
 
     def shift(sq: int, df: int, dr: int) -> int | None:
         f, r = sq % FILES + df, sq // FILES + dr
         return r * FILES + f if 0 <= f < FILES and 0 <= r < RANKS else None
-
-    def target(sq: int, d: int) -> tuple[int, Move]:
-        i = sq * NUM_SQUARES + d
-        if interned[i] is None:
-            interned[i] = (d, Move(sq, d))
-        return interned[i]
 
     def steps(sq: int, deltas: Iterable[tuple[int, int]], palace: Side | None = None) -> tuple:
         # With `palace`, the piece stands and lands only in that side's palace.
@@ -356,11 +348,11 @@ def _plan_table() -> tuple[dict[int, tuple[tuple, ...]], ...]:
             return (_STEP, ())
         dests = [d for df, dr in deltas if (d := shift(sq, df, dr)) is not None
                  and (palace is None or in_palace(d, palace))]
-        return (_STEP, tuple([target(sq, d) for d in dests]))
+        return (_STEP, tuple([(d, Move(sq, d)) for d in dests]))
 
     def legs(sq: int, pairs: tuple) -> tuple:
         # A destination on the board has its leg on the board too.
-        return (_LEG, tuple([(shift(sq, *leg), d, target(sq, d)[1])
+        return (_LEG, tuple([(shift(sq, *leg), d, Move(sq, d))
                              for leg, (df, dr) in pairs
                              if (d := shift(sq, df, dr)) is not None]))
 
@@ -368,7 +360,7 @@ def _plan_table() -> tuple[dict[int, tuple[tuple, ...]], ...]:
         out = []
         d = shift(sq, df, dr)
         while d is not None:
-            out.append(target(sq, d))
+            out.append((d, Move(sq, d)))
             d = shift(d, df, dr)
         return tuple(out)
 

@@ -34,14 +34,17 @@ Terminal status and legal moves are not encoded; decoding builds the state
 with `engine.make_state`, the builder `apply_move` uses too, so a decoded
 state carries the status and moves play gave it.  So the decoder checks
 everything it can before it calls `make_state`, in this order: each
-field's grammar; the Kings; then the counters against the draw limit, the
-captures and the side to move.  `make_state` reads a King capture from
-the capture that ended the game, so the King check rejects the King
-captures no game reaches: one that is not the last entry of its
-capturer's list, a nonzero no-capture counter after it, or the winner to
-move.  Piece conservation is checked after `make_state`, through
-`infoset.hidden_pools`, the one derivation of a side's unaccounted pool
-(starting material minus revealed minus captured pieces).
+field's grammar, where the board lists its face-down squares once, in
+board order, rejects any off its side's starting squares, and the hidden
+section is read against that list; the Kings; then the counters against
+the draw limit, the captures and the side to move.  `make_state` reads a
+King capture from the capture that ended the game, so the King check
+rejects the King captures no game reaches: one that is not the last entry
+of its capturer's list, a nonzero no-capture counter after it, or the
+winner to move.  Piece conservation is checked after `make_state`,
+through `infoset.hidden_pools`, the one derivation of a side's
+unaccounted pool (starting material minus revealed minus captured
+pieces).
 
 Encoding is canonical and bit-exact: a given state always encodes to the
 same single-line string, and decode(encode(state)) round-trips exactly.
@@ -61,7 +64,6 @@ from .board import (
     Side,
     in_palace,
     make_cell,
-    parse_square,
     square_name,
 )
 from .combinatorics import KindMultiset
@@ -151,11 +153,13 @@ def encode_state(state: GameState, include_hidden: bool = True) -> str:
 # decoding
 # ---------------------------------------------------------------------------
 
-def _parse_board(field: str) -> list[int]:
+def _parse_board(field: str) -> tuple[list[int], list[int]]:
+    """The board's cells, and its face-down squares in board order."""
     rank_fields = field.split("/")
     if len(rank_fields) != RANKS:
         raise JfenError(f"board: expected {RANKS} rank fields, got {len(rank_fields)}")
     board = [0] * NUM_SQUARES
+    dark = []
     for i, text in enumerate(rank_fields):
         r = RANKS - 1 - i
         f = 0
@@ -175,11 +179,19 @@ def _parse_board(field: str) -> list[int]:
             cell = _LETTER_CELL.get(ch)
             if cell is None:
                 raise JfenError(f"board rank {r}: bad piece letter {ch!r}")
-            board[r * FILES + f] = cell
+            sq = r * FILES + f
+            board[sq] = cell
+            if cell in DARK_CELL:
+                dark.append(sq)
             f += 1
         if f != FILES:
             raise JfenError(f"board rank {r}: width {f}, expected {FILES}")
-    return board
+    for sq in dark:
+        side = Side.RED if board[sq] > 0 else Side.BLACK
+        if sq not in DARK_HOME[side]:
+            raise JfenError(f"board: face-down {side.name} piece on {square_name(sq)} is "
+                            "outside its side's starting squares")
+    return board, dark
 
 
 def _parse_captures(field: str, field_name: str, owner: Side) -> tuple[Capture, ...]:
@@ -201,29 +213,26 @@ def _parse_captures(field: str, field_name: str, owner: Side) -> tuple[Capture, 
     return tuple(entries)
 
 
-def _parse_hidden(field: str, board: list[int]) -> tuple[PieceKind | None, ...]:
+def _parse_hidden(field: str, board: list[int],
+                  dark: list[int]) -> tuple[PieceKind | None, ...]:
     hidden: list[PieceKind | None] = [None] * NUM_SQUARES
     if field == "-":
         return tuple(hidden)
-    dark_squares = {sq for sq in range(NUM_SQUARES) if board[sq] in DARK_CELL}
+    position = {square_name(sq): i for i, sq in enumerate(dark)}
     last = -1    # board-order position of the previous entry's square
     for entry in field.split(","):
         name, sep, letter = entry.partition("=")
         if not sep:
             raise JfenError(f"hidden: bad entry {entry!r}")
-        try:
-            sq = parse_square(name)
-        except ValueError as exc:
-            raise JfenError(f"hidden: {exc}") from None
-        if sq not in dark_squares:
+        i = position.get(name)
+        if i is None:
             raise JfenError(f"hidden: {name} is not a face-down square")
+        sq = dark[i]
         if hidden[sq] is not None:
             raise JfenError(f"hidden: duplicate entry for {name}")
-        # Board order runs rank 9 down to 0, and file a to i within a rank.
-        position = (RANKS - 1 - sq // FILES) * FILES + sq % FILES
-        if position < last:
+        if i < last:
             raise JfenError(f"hidden: entry {entry!r} is out of board order")
-        last = position
+        last = i
         side = Side.RED if board[sq] > 0 else Side.BLACK
         kind = _LETTER_KIND[side].get(letter)
         if kind is None:
@@ -231,7 +240,7 @@ def _parse_hidden(field: str, board: list[int]) -> tuple[PieceKind | None, ...]:
         if kind is PieceKind.KING:
             raise JfenError("hidden: a King cannot be face-down")
         hidden[sq] = kind
-    missing = sorted(square_name(sq) for sq in dark_squares if hidden[sq] is None)
+    missing = sorted(square_name(sq) for sq in dark if hidden[sq] is None)
     if missing:
         raise JfenError(f"hidden: missing entries for {', '.join(missing)}")
     return tuple(hidden)
@@ -273,28 +282,17 @@ def _check_kings(board: list[int], side_to_move: Side, plies_since_capture: int,
                             f"{side.name} King, not {side.opponent.name}")
 
 
-def _check_material(state: GameState, side: Side, has_hidden: bool) -> None:
-    """Piece conservation for `side`: its face-down pieces stand on its
-    starting squares, and its unaccounted pool fills its face-down squares
-    (and equals the hidden assignment when present)."""
-    dark = DARK_CELL[side]
-    dark_squares = []
-    board = state.board
-    for sq in state.squares[side]:
-        if board[sq] == dark:
-            if sq not in DARK_HOME[side]:
-                raise JfenError(
-                    f"board: face-down {side.name} piece on {square_name(sq)} is "
-                    "outside its side's starting squares"
-                )
-            dark_squares.append(sq)
-
+def _check_material(state: GameState, side: Side, dark: list[int], has_hidden: bool) -> None:
+    """Piece conservation for `side`: its unaccounted pool fills its
+    face-down squares (and equals the hidden assignment when present)."""
     try:
         pool = hidden_pools(observe(state, side.opponent)).opp_pool
     except ValueError as exc:
         raise JfenError(f"board: material as {side.opponent.name} sees it: {exc}") from None
     if has_hidden:
-        assigned = KindMultiset.from_kinds(state.hidden[sq] for sq in dark_squares)
+        cell = DARK_CELL[side]
+        assigned = KindMultiset.from_kinds(state.hidden[sq] for sq in dark
+                                           if state.board[sq] == cell)
         if assigned != pool:
             raise JfenError(
                 f"hidden: {side.name} assignment {assigned} does not match the "
@@ -337,15 +335,24 @@ def _parse_counter(field: str) -> int:
         raise JfenError(f"counter of {len(field)} digits is too long") from None
 
 
+#: Each field's name, in the text's order.
+_FIELD_NAMES = ("board", "side to move", "plies-since-capture", "ply-count",
+                "captured-by-red", "captured-by-black", "hidden")
+
+
 def decode_state(text: str, rules: Rules = STANDARD_RULES) -> GameState:
     """Parse JFEN text into a GameState, validating the grammar and piece
     conservation. Raises JfenError naming the bad field on malformed input."""
     fields = text.strip().split(" ")
-    if len(fields) != 7 or any(not f for f in fields):
+    if len(fields) != 7:
         raise JfenError(f"expected 7 space-separated fields, got {len(fields)}")
+    if "" in fields:
+        i = fields.index("")
+        raise JfenError(f"expected 7 space-separated fields, but field {i + 1} "
+                        f"({_FIELD_NAMES[i]}) is empty")
     board_f, side_f, psc_f, plyc_f, capr_f, capb_f, hidden_f = fields
 
-    board = _parse_board(board_f)
+    board, dark = _parse_board(board_f)
     side_to_move = _LETTER_SIDE.get(side_f)
     if side_to_move is None:
         raise JfenError(f"side to move: bad side letter {side_f!r}")
@@ -353,7 +360,7 @@ def decode_state(text: str, rules: Rules = STANDARD_RULES) -> GameState:
     ply_count = _parse_counter(plyc_f)
     captures = (_parse_captures(capr_f, "captured-by-red", Side.BLACK),
                 _parse_captures(capb_f, "captured-by-black", Side.RED))
-    hidden = _parse_hidden(hidden_f, board)
+    hidden = _parse_hidden(hidden_f, board, dark)
     # Before `make_state`, which reads a King capture from these fields
     # and assumes they are reachable.
     _check_kings(board, side_to_move, plies_since_capture, captures)
@@ -363,5 +370,5 @@ def decode_state(text: str, rules: Rules = STANDARD_RULES) -> GameState:
     state = make_state(board, side_squares(board), hidden, side_to_move, ply_count,
                        plies_since_capture, captures, rules)
     for side in (Side.RED, Side.BLACK):
-        _check_material(state, side, hidden_f != "-")
+        _check_material(state, side, dark, hidden_f != "-")
     return state

@@ -16,7 +16,7 @@ from jieqi import (
     apply_move,
     initial_state,
     legal_moves,
-    parse_square,
+    square_name,
 )
 from jieqi.board import DARK_CELL, NUM_SQUARES, make_cell
 from jieqi.engine import Capture, make_state, side_squares
@@ -25,6 +25,14 @@ from jieqi.engine import Capture, make_state, side_squares
 INITIAL_JFEN = (
     "xxxxkxxxx/9/1x5x1/x1x1x1x1x/9/9/X1X1X1X1X/1X5X1/9/XXXXKXXXX r 0 0 - - -"
 )
+
+#: The square of each square name.
+_SQUARE_OF_NAME = {square_name(sq): sq for sq in range(NUM_SQUARES)}
+
+
+def parse_square(name: str) -> int:
+    return _SQUARE_OF_NAME[name]
+
 
 #: The kind of each kind letter; `build_state` looks its letters up uppercased.
 _KIND_OF_LETTER = {kind.letter: kind for kind in PieceKind}

@@ -10,7 +10,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import build_state, mv, random_state
+from conftest import build_state, mv, parse_square, random_state
 from jieqi import (
     IllegalMoveError,
     KindMultiset,
@@ -24,7 +24,6 @@ from jieqi import (
     initial_state,
     legal_moves,
     observe,
-    parse_square,
 )
 from jieqi.board import DARK_CODE, DARK_HOME, KING_CELL, in_palace, make_cell, square_name
 from jieqi.engine import TerminalStatus, perft_counts

@@ -9,7 +9,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import build_state, mv, random_state
+from conftest import build_state, mv, parse_square, random_state
 from naive_rules import naive_legal_moves
 from jieqi import (
     IllegalMoveError,
@@ -23,7 +23,6 @@ from jieqi import (
     encode_state,
     initial_state,
     legal_moves,
-    parse_square,
 )
 from jieqi.board import (
     DARK_CELL,

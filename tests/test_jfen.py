@@ -22,6 +22,7 @@ from jieqi import (
     encode_state,
     infoset_size,
     initial_state,
+    jfen,
     legal_moves,
     observe,
 )
@@ -207,6 +208,17 @@ class TestMalformedInputs:
         with pytest.raises(JfenError, match="starting squares"):
             decode_state(bad)
 
+    def test_dark_piece_off_home_squares_rejected_before_building(
+        self, monkeypatch: pytest.MonkeyPatch,
+    ) -> None:
+        def make_state(*args: object) -> None:
+            pytest.fail("make_state ran on a board the decoder should reject")
+
+        monkeypatch.setattr(jfen, "make_state", make_state)
+        bad = INITIAL_JFEN.replace("xxxxkxxxx/9/", "xxxxkxxx1/x8/", 1)
+        with pytest.raises(JfenError, match="starting squares"):
+            decode_state(bad)
+
     def test_counter_out_of_range(self) -> None:
         with pytest.raises(JfenError, match="draw limit"):
             decode_state(INITIAL_JFEN.replace(" r 0 0 ", " r 41 50 ", 1))
@@ -334,6 +346,7 @@ class TestMalformedInputs:
         ("captured-by-red", "KG", "captured-by-red"),
         ("captured-by-black", "gm", "captured-by-black"),
         ("captured-by-red", "", "fields"),
+        ("captured-by-black", "", r"field 6 \(captured-by-black\) is empty"),
         ("side", "R", "side"),
         ("side", "rb", "side"),
         ("side", "", "fields"),
