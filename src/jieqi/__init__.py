@@ -39,13 +39,11 @@ from .enumeration import (
     CountParams,
     STANDARD_PARAMS,
     count_information_sets,
-    count_information_sets_bruteforce,
 )
 from .infoset import (
     HiddenPools,
     hidden_pools,
     infoset_size,
-    infoset_size_bruteforce,
     mover_infoset_size,
 )
 from .jfen import JfenError, decode_state, encode_state
@@ -78,7 +76,6 @@ __all__ = [
     "apply_move",
     "binomial",
     "count_information_sets",
-    "count_information_sets_bruteforce",
     "decode_state",
     "encode_state",
     "estimate_gtc_log10",
@@ -86,7 +83,6 @@ __all__ = [
     "game_seed",
     "hidden_pools",
     "infoset_size",
-    "infoset_size_bruteforce",
     "initial_state",
     "legal_moves",
     "mover_infoset_size",

@@ -54,15 +54,12 @@ class KindMultiset(NamedTuple("_Counts", [("counts", tuple[int, ...])])):
     def total(self) -> int:
         return sum(self.counts)
 
-    def items(self) -> list[tuple[PieceKind, int]]:
-        return [(k, c) for k, c in zip(NON_KING_KINDS, self.counts) if c > 0]
-
     def expand(self) -> list[PieceKind]:
         """All members, one entry per piece."""
         return [k for k, c in zip(NON_KING_KINDS, self.counts) for _ in range(c)]
 
     def __str__(self) -> str:
-        inner = ",".join(f"{k.letter}:{c}" for k, c in self.items())
+        inner = ",".join(f"{k.letter}:{c}" for k, c in zip(NON_KING_KINDS, self.counts) if c)
         return "{" + inner + "}"
 
 

@@ -14,22 +14,23 @@ a factor: whatever Red captured, Red saw.
 The sum factors by side: each side's weight depends only on how many of its
 pieces are on the board and how many of those are face-down, and the
 placement of the face-up pieces depends only on the two sides' totals.  So
-the count is one 2-D convolution of the per-side weights, then a weighted
-sum over (pieces on the board, face-down pieces).
+the count is one 2-D convolution of the per-side weights, computed as a
+single big-integer product, then a weighted sum over (pieces on the board,
+face-down pieces).
 
 One reading question cannot be settled from the recurrence alone: when all
 of Red's on-board pieces are face-up, does the face-up/face-down split of
 Red's *captured* pieces still count?  The primary count says no (off-board
 detail is dropped in that branch); `count_information_sets` also supports
 the alternative reading that always splits, so both can be reported side by
-side.  A brute-force tuple enumerator validates the closed form on
-miniature boards.
+side.  The test suite checks the closed form against a brute-force tuple
+enumerator on miniature boards and a term-by-term reference sum past the
+full scale (`tests/bruteforce.py`, `tests/reference_count.py`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
 from math import comb, perm
 
 
@@ -68,8 +69,9 @@ def count_information_sets(
     face-up/face-down split of its off-board pieces, except in the j == 0
     row, where that split is dropped unless
     `split_offboard_when_all_bright` selects the alternative reading.
-    Convolving the two weights gives conv[a][t] over a pieces on the board,
-    t of them face-down; the count is the sum of conv[a][t] * P(s-t, a-t),
+    Convolving the two weights, by multiplying them packed into one int
+    each, gives conv[a][t] over a pieces on the board, t of them
+    face-down; the count is the sum of conv[a][t] * P(s-t, a-t),
     the injective placements of the face-up pieces on the squares left.
     """
     n, s, d = params.pieces_per_side, params.board_squares, params.dark_squares_per_side
@@ -79,57 +81,22 @@ def count_information_sets(
             for j, w in enumerate(row)]
            for i, row in enumerate(black)]
 
-    conv = [[0] * (a + 1) for a in range(2 * n + 1)]
-    for r, red_row in enumerate(red):
-        for b, black_row in enumerate(black):
-            out = conv[r + b]
-            for i, x in enumerate(red_row):
-                for j, y in enumerate(black_row):
-                    out[i + j] += x * y
+    # Kronecker substitution: each table becomes one int whose slot at
+    # position i*(2d+1) + j holds w[i][j], so the product's slot at
+    # a*(2d+1) + t holds conv[a][t].  t = i + j <= 2d, so no row spills into
+    # the next.  Every weight is >= 0, so no coefficient of the product
+    # exceeds the sum of them all, sum(red) * sum(black): a slot that wide
+    # never carries into the next.
+    stride = 2 * d + 1
+    width = ((sum(map(sum, red)) * sum(map(sum, black))).bit_length() + 7) // 8
+
+    def pack(table: list[list[int]]) -> int:
+        return int.from_bytes(b"".join(w.to_bytes(width, "little") for row in table
+                                       for w in row + [0] * (stride - len(row))), "little")
+
+    product = (pack(red) * pack(black)).to_bytes((2 * n + 1) * stride * width, "little")
+    slots = [int.from_bytes(product[k:k + width], "little")
+             for k in range(0, len(product), width)]
+    conv = [slots[a * stride:a * stride + min(a, 2 * d) + 1] for a in range(2 * n + 1)]
     return sum(perm(s - t, a - t) * c
                for a, row in enumerate(conv) for t, c in enumerate(row))
-
-
-def count_information_sets_bruteforce(
-    params: CountParams,
-    split_offboard_when_all_bright: bool = False,
-) -> int:
-    """Oracle: explicitly enumerate every tuple the closed form counts.
-
-    Identities are labeled 0..n-1 per side; red's face-down-eligible squares
-    are the first `dark_squares_per_side` board squares and black's the last
-    (any two disjoint sets work -- only their sizes enter the count).  Each
-    leaf of the nested enumeration is one counted configuration.  This
-    validates the combinatorial identity, not game reachability.
-    """
-    n, s, d = params.pieces_per_side, params.board_squares, params.dark_squares_per_side
-    if n > 3 or s > 10:
-        raise ValueError("brute force limited to pieces_per_side <= 3, board_squares <= 10")
-    ids = tuple(range(n))
-    squares = tuple(range(s))
-    red_dark_home = squares[:d]
-    black_dark_home = squares[s - d:] if d else ()
-
-    def subsets(items):
-        for k in range(len(items) + 1):
-            yield from combinations(items, k)
-
-    count = 0
-    for r_ids in subsets(ids):
-        r_off = tuple(i for i in ids if i not in r_ids)
-        for r_dark in subsets(r_ids):
-            if not r_dark and not split_offboard_when_all_bright:
-                off_splits = (None,)
-            else:
-                off_splits = tuple(subsets(r_off))
-            for _r_off_dark in off_splits:
-                for b_ids in subsets(ids):
-                    for b_dark in subsets(b_ids):
-                        n_bright = len(r_ids) - len(r_dark) + len(b_ids) - len(b_dark)
-                        for r_sqs in combinations(red_dark_home, len(r_dark)):
-                            for b_sqs in combinations(black_dark_home, len(b_dark)):
-                                used = set(r_sqs) | set(b_sqs)
-                                avail = [q for q in squares if q not in used]
-                                for _placement in permutations(avail, n_bright):
-                                    count += 1
-    return count

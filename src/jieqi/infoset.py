@@ -95,40 +95,3 @@ def mover_infoset_size(state: GameState) -> int:
     """Information-set size from the viewpoint of the player to move (the
     per-ply measurement convention)."""
     return infoset_size(observe(state, state.side_to_move))
-
-
-# --- brute-force oracle ------------------------------------------------------
-
-def infoset_size_bruteforce(obs: Observation) -> int:
-    """Reference oracle: explicitly enumerate the distinct assignments.
-
-    Walks the assignment tree slot by slot, branching once per kind still
-    available, so every distinct assignment is visited exactly once and the
-    leaf count is the answer.  Only for small cases (<= 8 dark squares in
-    total); independent of the closed-form arithmetic in infoset_size.
-    """
-    pools = hidden_pools(obs)
-    if pools.own_slots + pools.opp_slots > 8:
-        raise ValueError(
-            f"brute force limited to 8 dark squares, got "
-            f"{pools.own_slots + pools.opp_slots}"
-        )
-    return _enumerate_assignments(pools.own_pool, pools.own_slots) * \
-        _enumerate_assignments(pools.opp_pool, pools.opp_slots)
-
-
-def _enumerate_assignments(pool: KindMultiset, slots: int) -> int:
-    counts = list(pool.counts)
-
-    def walk(slot: int) -> int:
-        if slot == slots:
-            return 1
-        total = 0
-        for i in range(len(counts)):
-            if counts[i] > 0:
-                counts[i] -= 1
-                total += walk(slot + 1)
-                counts[i] += 1
-        return total
-
-    return walk(0)

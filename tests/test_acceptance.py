@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from bruteforce import count_information_sets_bruteforce, infoset_size_bruteforce
 from conftest import INITIAL_JFEN
 from test_infoset import _late_game_states
 from jieqi import (
@@ -22,10 +23,8 @@ from jieqi import (
     Side,
     apply_move,
     count_information_sets,
-    count_information_sets_bruteforce,
     estimate_gtc_log10,
     infoset_size,
-    infoset_size_bruteforce,
     initial_state,
     legal_moves,
     observe,

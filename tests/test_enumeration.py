@@ -1,6 +1,6 @@
 """Counting the game's information sets: closed form vs exhaustive tuple
 enumeration on miniature boards, vs a term-by-term reference sum up to
-the full scale, plus the full-scale result."""
+and past the full scale, plus the full-scale result."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from jieqi import (
     Side,
     apply_move,
     count_information_sets,
-    count_information_sets_bruteforce,
     exact_log10,
     game_seed,
     initial_state,
@@ -23,6 +22,7 @@ from jieqi import (
     observe,
 )
 from jieqi.board import DARK_CELL, DARK_HOME, NON_KING_CELLS
+from bruteforce import count_information_sets_bruteforce
 from reference_count import reference_count
 
 # Full-scale result, frozen once from this implementation after the
@@ -104,11 +104,14 @@ class TestReferenceSum:
         """Closed form == the term-by-term reference sum, under both
         readings, for every n <= 15 with the smallest boards, the full
         board and no, half or all home squares face-down-eligible.  The
-        grid includes the standard game, (15, 88, 15)."""
+        grid includes the standard game, (15, 88, 15), and goes past it to
+        n = 20 and 24 on the smallest board, where the product's slots
+        reach 16 bytes against the standard game's 10."""
         cases = {CountParams(n, s, d)
                  for n in range(16)
                  for s in (2 * n, 2 * n + 1, 88)
                  for d in (0, n // 2, n)}
+        cases |= {CountParams(n, 2 * n, d) for n in (20, 24) for d in (0, n // 2, n)}
         for params in cases:
             for always in (False, True):
                 assert count_information_sets(params, always) == \

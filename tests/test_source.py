@@ -152,11 +152,6 @@ def test_plan_table_holds_each_move_once() -> None:
     assert len(set(moves)) == 2550
 
 
-#: Reference oracles: tests check the fast paths against them, and no
-#: program path calls them.
-_ORACLES = {"infoset_size_bruteforce", "count_information_sets_bruteforce"}
-
-
 def _public_definitions(tree: ast.Module) -> list[tuple[str, int]]:
     """(qualified name, line) of each public top-level function, class and
     assigned name, and of each public method of a public top-level class."""
@@ -203,5 +198,5 @@ def test_public_names_have_a_program_caller() -> None:
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         unused += [f"{path.name}:{line} {name}" for name, line in _public_definitions(tree)
-                   if name.rsplit(".", 1)[-1] not in referenced | _ORACLES]
+                   if name.rsplit(".", 1)[-1] not in referenced]
     assert unused == []
