@@ -16,8 +16,8 @@ from pathlib import Path
 
 from .board import Side
 from .combinatorics import exact_log10
-from .engine import Rules, observe, perft_counts
-from .enumeration import CountParams, count_information_sets
+from .engine import STANDARD_RULES, Rules, observe, perft_counts
+from .enumeration import STANDARD_PARAMS, CountParams, count_information_sets
 from .infoset import infoset_size
 from .jfen import JfenError, decode_state
 from .simulator import (
@@ -57,7 +57,7 @@ def build_parser() -> _Parser:
     sim.set_defaults(run=_cmd_simulate)
     sim.add_argument("--games", type=int, default=10000)
     sim.add_argument("--seed", type=int, default=0, help="master seed")
-    sim.add_argument("--draw-plies", type=int, default=40,
+    sim.add_argument("--draw-plies", type=int, default=STANDARD_RULES.draw_plies,
                      help="plies without a capture before a draw")
     sim.add_argument("--workers", type=int, default=usable_cpus(),
                      help="worker processes, at most one per usable CPU and per game")
@@ -68,9 +68,10 @@ def build_parser() -> _Parser:
 
     cnt = sub.add_parser("count-infosets", help="exact number of information sets")
     cnt.set_defaults(run=_cmd_count_infosets)
-    cnt.add_argument("--pieces-per-side", type=int, default=15)
-    cnt.add_argument("--board-squares", type=int, default=88)
-    cnt.add_argument("--dark-squares-per-side", type=int, default=15)
+    cnt.add_argument("--pieces-per-side", type=int, default=STANDARD_PARAMS.pieces_per_side)
+    cnt.add_argument("--board-squares", type=int, default=STANDARD_PARAMS.board_squares)
+    cnt.add_argument("--dark-squares-per-side", type=int,
+                     default=STANDARD_PARAMS.dark_squares_per_side)
     cnt.add_argument("--format", choices=("text", "json"), default="text")
 
     isz = sub.add_parser("infoset-size", help="information-set size of a state")
@@ -133,18 +134,17 @@ def _cmd_count_infosets(parser: _Parser, args: argparse.Namespace) -> int:
         parser.error(str(exc))
     primary = count_information_sets(params)
     variant = count_information_sets(params, split_offboard_when_all_bright=True)
+    result = {
+        "information_sets": primary,
+        "log10": exact_log10(primary),
+        "always_split_offboard": variant,
+        "always_split_offboard_log10": exact_log10(variant),
+    }
     if args.format == "json":
-        print(json.dumps({
-            "information_sets": primary,
-            "log10": exact_log10(primary),
-            "always_split_offboard": variant,
-            "always_split_offboard_log10": exact_log10(variant),
-        }, indent=2))
+        print(json.dumps(result, indent=2))
     else:
-        print(f"information_sets={primary}")
-        print(f"log10={format_stat(exact_log10(primary))}")
-        print(f"always_split_offboard={variant}")
-        print(f"always_split_offboard_log10={format_stat(exact_log10(variant))}")
+        for key, value in result.items():
+            print(f"{key}={format_stat(value) if isinstance(value, float) else value}")
     return 0
 
 

@@ -36,14 +36,14 @@ state carries the status and moves play gave it.  So the decoder checks
 everything it can before it calls `make_state`, in this order: each
 field's grammar, where the board lists its face-down squares once, in
 board order, rejects any off its side's starting squares, and the hidden
-section is read against that list; the Kings; then the counters against
-the draw limit, the captures and the side to move.  `make_state` reads a
-King capture from the capture that ended the game, so the King check
-rejects the King captures no game reaches: one that is not the last entry
-of its capturer's list, a nonzero no-capture counter after it, or the
-winner to move.  Piece conservation is checked after `make_state`,
-through `infoset.hidden_pools`, the one derivation of a side's
-unaccounted pool (starting material minus revealed minus captured
+section's entry i must name that list's square i; the Kings; then the
+counters against the draw limit, the captures and the side to move.
+`make_state` reads a King capture from the capture that ended the game,
+so the King check rejects the King captures no game reaches: one that is
+not the last entry of its capturer's list, a nonzero no-capture counter
+after it, or the winner to move.  Piece conservation is checked after
+`make_state`, through `infoset.hidden_pools`, the one derivation of a
+side's unaccounted pool (starting material minus revealed minus captured
 pieces).
 
 Encoding is canonical and bit-exact: a given state always encodes to the
@@ -215,24 +215,18 @@ def _parse_captures(field: str, field_name: str, owner: Side) -> tuple[Capture, 
 
 def _parse_hidden(field: str, board: list[int],
                   dark: list[int]) -> tuple[PieceKind | None, ...]:
+    """The kind on each face-down square, read as `encode_state` writes
+    it: entry i names `dark[i]`, the i-th face-down square in board order,
+    so the text lists every face-down square once, in order."""
     hidden: list[PieceKind | None] = [None] * NUM_SQUARES
     if field == "-":
         return tuple(hidden)
-    position = {square_name(sq): i for i, sq in enumerate(dark)}
-    last = -1    # board-order position of the previous entry's square
-    for entry in field.split(","):
-        name, sep, letter = entry.partition("=")
-        if not sep:
-            raise JfenError(f"hidden: bad entry {entry!r}")
-        i = position.get(name)
-        if i is None:
-            raise JfenError(f"hidden: {name} is not a face-down square")
-        sq = dark[i]
-        if hidden[sq] is not None:
-            raise JfenError(f"hidden: duplicate entry for {name}")
-        if i < last:
-            raise JfenError(f"hidden: entry {entry!r} is out of board order")
-        last = i
+    entries = field.split(",")
+    for sq, entry in zip(dark, entries):
+        name, _, letter = entry.partition("=")
+        if name != square_name(sq):
+            raise JfenError(f"hidden: entry {entry!r} is not for {square_name(sq)}, "
+                            "the next face-down square in board order")
         side = Side.RED if board[sq] > 0 else Side.BLACK
         kind = _LETTER_KIND[side].get(letter)
         if kind is None:
@@ -240,9 +234,12 @@ def _parse_hidden(field: str, board: list[int],
         if kind is PieceKind.KING:
             raise JfenError("hidden: a King cannot be face-down")
         hidden[sq] = kind
-    missing = sorted(square_name(sq) for sq in dark if hidden[sq] is None)
-    if missing:
-        raise JfenError(f"hidden: missing entries for {', '.join(missing)}")
+    if len(entries) < len(dark):
+        raise JfenError(f"hidden: missing entry for {square_name(dark[len(entries)])}, "
+                        "the next face-down square in board order")
+    if len(entries) > len(dark):
+        raise JfenError(f"hidden: entry {entries[len(dark)]!r} is past the last "
+                        "face-down square")
     return tuple(hidden)
 
 

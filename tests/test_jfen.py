@@ -324,7 +324,7 @@ class TestMalformedInputs:
         # a9 holds a face-down Black piece and i0 a face-down Red one.
         ("hidden", "a9=R", "hidden"),
         ("hidden", "i0=p", "hidden"),
-        ("hidden", "i0=K", "King"),
+        ("hidden", "i0=K", "hidden"),
         ("hidden", "a9=k", "King"),
         ("hidden", "a9=X", "hidden"),
         ("hidden", "i0=X", "hidden"),
@@ -370,7 +370,7 @@ class TestMalformedInputs:
             decode_state(head + " " + hidden.replace("a9=", "e4=", 1))
         # duplicate entry
         first = hidden.split(",")[0]
-        with pytest.raises(JfenError, match="duplicate"):
+        with pytest.raises(JfenError, match="past the last face-down square"):
             decode_state(head + " " + hidden + "," + first)
         # missing entry
         with pytest.raises(JfenError, match="missing"):
@@ -381,6 +381,19 @@ class TestMalformedInputs:
         swapped = hidden.replace(pawn_entry, pawn_entry[:-1] + "R", 1)
         with pytest.raises(JfenError, match="match"):
             decode_state(head + " " + swapped)
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda e: [e[1], e[0], *e[2:]], r"^hidden: entry 'b9=\w' is not for a9, "),
+        (lambda e: ["e4" + e[0][2:], *e[1:]], r"^hidden: entry 'e4=\w' is not for a9, "),
+        (lambda e: e[:-1], r"^hidden: missing entry for i0, the next face-down square"),
+        (lambda e: [*e, e[0]], r"^hidden: entry 'a9=\w' is past the last face-down square"),
+        (lambda e: [*e, ""], r"^hidden: entry '' is past the last face-down square"),
+    ], ids=["swapped", "unknown-square", "last-dropped", "first-repeated", "trailing-comma"])
+    def test_hidden_entry_names_its_square(self, edit, match: str) -> None:
+        # Entry i names the i-th face-down square in board order: a9 first, i0 last.
+        head, hidden = encode_state(initial_state(0)).rsplit(" ", 1)
+        with pytest.raises(JfenError, match=match):
+            decode_state(head + " " + ",".join(edit(hidden.split(","))))
 
     def test_exit_style_message_has_position(self) -> None:
         try:

@@ -9,7 +9,10 @@ import math
 import multiprocessing
 import os
 import random
+import statistics
 import time
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -34,7 +37,8 @@ from jieqi.simulator import (
     write_series_csv,
     write_summary_json,
 )
-from jieqi.engine import STANDARD_RULES
+from jieqi.board import DARK_CELL
+from jieqi.engine import STANDARD_RULES, perft_counts
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +135,71 @@ class TestInfosetReuse:
             log10s, total = _fresh_infoset_series(seed, rules)
             assert rec.log10_infoset_per_ply == log10s, seed
             assert rec.infoset_total == total, seed
+
+
+def _fix_identity(state, sq: int):
+    """Yield (probability, state) for each kind the piece on `sq` can be
+    under the campaign's uniform deal, given everything play has fixed: a
+    face-down piece is kind k with probability count_k / n over the n
+    face-down pieces of its side, and a face-up or empty square yields
+    `state` itself.  A fixed kind is swapped in from a square of the same
+    side that holds it, so every other identity stays exchangeable."""
+    cell = state.board[sq]
+    if cell not in DARK_CELL:
+        yield Fraction(1), state
+        return
+    same = [s for s, c in enumerate(state.board) if c == cell]
+    for kind, count in Counter(state.hidden[s] for s in same).items():
+        t = next(s for s in same if state.hidden[s] is kind)
+        hidden = list(state.hidden)
+        hidden[sq], hidden[t] = kind, hidden[sq]
+        yield Fraction(count, len(same)), state._replace(hidden=tuple(hidden))
+
+
+def _exact_ply_means(plies: int) -> tuple[list[Fraction], list[float]]:
+    """The exact expectations of the branching factor and of the mover's
+    log10 information-set size at plies 1 to `plies` of a campaign game:
+    every move has weight 1/|moves|, and every reveal or face-down capture
+    is a chance node over the piece's kind."""
+    branching = [Fraction(0)] * plies
+    log10_size = [0.0] * plies
+
+    def walk(state, p: Fraction, ply: int) -> None:
+        moves = state.moves
+        assert moves, "no game ends this early"
+        branching[ply] += p * len(moves)
+        log10_size[ply] += float(p) * exact_log10(mover_infoset_size(state))
+        if ply + 1 < plies:
+            for move in moves:
+                for q, revealed in _fix_identity(state, move.from_sq):
+                    for r, fixed in _fix_identity(revealed, move.to_sq):
+                        walk(apply_move(fixed, move)[0], p * q * r / len(moves), ply + 1)
+
+    walk(initial_state(0), Fraction(1), 0)
+    return branching, log10_size
+
+
+class TestExactShallowPlies:
+    """The campaign's per-ply records past ply 1 against exact values."""
+
+    Z_BOUND = 4.0
+
+    def test_means_match_exact_expectations(self, run250) -> None:
+        _, _, records = run250
+        branching, log10_size = _exact_ply_means(3)
+        # Black's move count at ply 2 depends only on which squares Red's
+        # first move leaves occupied, so its mean is perft's depth-2 count
+        # over Red's 46 moves.
+        nodes = perft_counts(initial_state(0), 2)
+        assert branching[:2] == [46, Fraction(nodes[1], nodes[0])] == [46, Fraction(1053, 23)]
+        assert log10_size[1] == pytest.approx(16.33806, abs=5e-6)
+        for ply in (1, 2):
+            for name, exact in (("branching_per_ply", float(branching[ply])),
+                                ("log10_infoset_per_ply", log10_size[ply])):
+                values = [getattr(rec, name)[ply] for rec in records]
+                se = statistics.stdev(values) / math.sqrt(len(values))
+                z = (statistics.fmean(values) - exact) / se
+                assert abs(z) <= self.Z_BOUND, (ply + 1, name, exact, z)
 
 
 class _CountedProcess(multiprocessing.Process):
