@@ -33,8 +33,8 @@ one place that builds a state, and so the one termination rule and the
 one move generation: `initial_state`, the state-text decoder and
 `apply_move` all call it.  It requires a state that play can reach: play
 stops at the first King capture, so `make_state` reads a King capture from
-the capture that ended the game instead of scanning the board, and the
-decoder rejects the texts that no game reaches before it calls it.
+the capture that ended the game.  The decoder checks the Kings before it
+calls it and, after it, rejects a captured King this rule does not read.
 """
 
 from __future__ import annotations
@@ -261,8 +261,8 @@ def make_state(
     rules: Rules,
 ) -> GameState:
     """The state with these fields, its `status` and `moves` derived from
-    them.  `squares` must be `side_squares(board)`, and the fields must be
-    reachable in play.
+    them, which must be reachable in play (`decode_state` first checks that
+    at most one King is captured).  `squares` must be `side_squares(board)`.
 
     The termination rule, checked in order: King captured, no-capture draw,
     side to move stalemated (it has no legal move).  Play stops at the

@@ -11,8 +11,9 @@ board     ten rank fields from rank 9 down to rank 0, joined by '/'.
 side      'r' or 'b', the side to move.
 counters  plies-since-capture and ply-count in ASCII decimal, with no
           leading zero ('0' itself is written as is).  They must agree with
-          play: Black is to move exactly at odd ply counts, and the first
-          equals the second until a capture and is below it after one.
+          play: Black is to move exactly at odd ply counts, the first
+          equals the second until a capture and is below it after one, and
+          each capture ends a run of at most the draw limit's plies.
 cap-red   pieces captured by Red (so Black kinds, lowercase), in capture
           order, each letter carrying a '*' suffix if the piece was
           face-down when taken; '-' when empty.  cap-black likewise with
@@ -36,12 +37,11 @@ state carries the status and moves play gave it.  So the decoder checks
 everything it can before it calls `make_state`, in this order: each
 field's grammar, where the board lists its face-down squares once, in
 board order, rejects any off its side's starting squares, and the hidden
-section's entry i must name that list's square i; the Kings; then the
-counters against the draw limit, the captures and the side to move.
-`make_state` reads a King capture from the capture that ended the game,
-so the King check rejects the King captures no game reaches: one that is
-not the last entry of its capturer's list, a nonzero no-capture counter
-after it, or the winner to move.  Piece conservation is checked after
+section's entry i must name that list's square i; the Kings, of which at
+most one is captured; then the counters against the draw limit, the
+captures and the side to move.  Whether a King capture ended the game is
+`make_state`'s rule, so after it the decoder rejects a captured King whose
+status is not a King win.  Piece conservation is checked after
 `make_state`, through `infoset.hidden_pools`, the one derivation of a
 side's unaccounted pool (starting material minus revealed minus captured
 pieces).
@@ -72,6 +72,7 @@ from .engine import (
     GameState,
     Rules,
     STANDARD_RULES,
+    WinReason,
     make_state,
     observe,
     side_squares,
@@ -247,18 +248,17 @@ def _parse_hidden(field: str, board: list[int],
 _KING_TAKEN = Capture(PieceKind.KING, False)
 
 
-def _check_kings(board: list[int], side_to_move: Side, plies_since_capture: int,
-                 captures: tuple[tuple[Capture, ...], tuple[Capture, ...]]) -> None:
+def _check_kings(board: list[int],
+                 captures: tuple[tuple[Capture, ...], tuple[Capture, ...]]) -> Side | None:
     """Each King is on the board, inside a palace, or captured exactly
-    once; and play stops at the first King capture, which restarts the
-    no-capture counter and hands the move to the loser.  So a captured King
-    is the last entry of its capturer's list, the counter is 0 and the
-    loser is to move: `make_state` reads the win from that capture."""
+    once, and play stops at the first King capture, so not both are
+    captured.  Returns the side whose King is captured, or None; whether
+    that capture ended the game is `make_state`'s rule to read."""
+    loser = None
     for side in (Side.RED, Side.BLACK):
         king = KING_CELL[side]
         on_board = board.count(king)
-        taken = captures[OPPONENT[side]]
-        if on_board + taken.count(_KING_TAKEN) != 1:
+        if on_board + captures[OPPONENT[side]].count(_KING_TAKEN) != 1:
             raise JfenError(f"board: {side.name} must have exactly one King on board or captured")
         if on_board:
             # A King sits in its own palace, or in the enemy palace right
@@ -268,15 +268,11 @@ def _check_kings(board: list[int], side_to_move: Side, plies_since_capture: int,
                 raise JfenError(
                     f"board: {side.name} King on {square_name(sq)} is outside both palaces"
                 )
-        elif taken[-1] != _KING_TAKEN:
-            raise JfenError(f"captured-by-{side.opponent.name.lower()}: the {side.name} King "
-                            "must be the last capture, since play stops at it")
-        elif plies_since_capture:
-            raise JfenError(f"plies-since-capture {plies_since_capture} must be 0 right "
-                            f"after the {side.name} King's capture")
-        elif side_to_move is not side:
-            raise JfenError(f"side to move: {side.name} moves after the capture of the "
-                            f"{side.name} King, not {side.opponent.name}")
+        elif loser is None:
+            loser = side
+        else:
+            raise JfenError("board: both Kings are captured, but play stops at the first")
+    return loser
 
 
 def _check_material(state: GameState, side: Side, dark: list[int], has_hidden: bool) -> None:
@@ -303,7 +299,8 @@ def _check_counters(side_to_move: Side, psc: int, plies: int,
     """The counters agree with play: a game ends at the draw limit, Red
     moves first and nobody passes, and the no-capture counter restarts at
     each capture, so it counts every ply of a game without captures and
-    fewer plies of any other."""
+    fewer plies of any other; and each capture ends a run of at most
+    `draw_plies` plies, so the ply count is at most those runs plus it."""
     if psc > rules.draw_plies:
         raise JfenError(f"plies-since-capture {psc} exceeds the draw limit {rules.draw_plies}")
     if any(captures):
@@ -316,6 +313,9 @@ def _check_counters(side_to_move: Side, psc: int, plies: int,
     if side_to_move is not (Side.BLACK if plies % 2 else Side.RED):
         raise JfenError(f"side to move: {side_to_move.name} cannot move at ply "
                         f"{plies}; Red moves at even plies and Black at odd ones")
+    if plies > sum(map(len, captures)) * rules.draw_plies + psc:
+        raise JfenError(f"ply-count {plies} is more than these captures allow: each "
+                        f"capture ends a run of at most {rules.draw_plies} plies")
 
 
 def _parse_counter(field: str) -> int:
@@ -358,14 +358,17 @@ def decode_state(text: str, rules: Rules = STANDARD_RULES) -> GameState:
     captures = (_parse_captures(capr_f, "captured-by-red", Side.BLACK),
                 _parse_captures(capb_f, "captured-by-black", Side.RED))
     hidden = _parse_hidden(hidden_f, board, dark)
-    # Before `make_state`, which reads a King capture from these fields
-    # and assumes they are reachable.
-    _check_kings(board, side_to_move, plies_since_capture, captures)
+    loser = _check_kings(board, captures)
     _check_counters(side_to_move, plies_since_capture, ply_count, captures, rules)
 
     board = tuple(board)
     state = make_state(board, side_squares(board), hidden, side_to_move, ply_count,
                        plies_since_capture, captures, rules)
+    if loser is not None and state.status.reason not in (WinReason.KING_CAPTURED,
+                                                         WinReason.MEET_MARSHALS):
+        raise JfenError(f"captured-by-{loser.opponent.name.lower()}: the {loser.name} King "
+                        "must be the last capture, plies-since-capture must be 0 after "
+                        f"it, and the side to move must be {loser.name}")
     for side in (Side.RED, Side.BLACK):
         _check_material(state, side, dark, hidden_f != "-")
     return state

@@ -216,13 +216,13 @@ class TestPerft:
 
     def test_ply_count_is_not_a_bound(self, capsys) -> None:
         # the ply counter is bookkeeping; the draw rule bounds a game.  The
-        # state carries captures, so its ply count may exceed the
-        # no-capture counter by any amount of the same parity.
+        # state carries 3 captures, each ending a run of at most 40 plies,
+        # so its ply count may reach 3 * 40 plus the no-capture counter, 3.
         from conftest import random_state
         fields = encode_state(random_state(5, 40)).split(" ")
         assert fields[2:6] == ["3", "40", "p", "R*C"]
         counts = []
-        for ply_count in ("40", "1540"):
+        for ply_count in ("40", "120"):
             fields[3] = ply_count
             code, out, _ = run(capsys, "perft", "--state", " ".join(fields),
                                "--depth", "2")

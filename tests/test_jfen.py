@@ -239,8 +239,17 @@ class TestMalformedInputs:
         # the start, and a text whose no-capture counter restarted at a capture
         midgame = _reachable_text(5, 40, include_hidden=False)
         assert midgame.split(" ")[2:6] == ["3", "40", "p", "R*C"]
-        for text in (INITIAL_JFEN, midgame, midgame.replace(" r 3 40 ", " r 7 1040 ", 1)):
+        for text in (INITIAL_JFEN, midgame, midgame.replace(" r 3 40 ", " r 7 80 ", 1)):
             assert encode_state(decode_state(text), include_hidden=False) == text
+
+    @pytest.mark.parametrize("plies", [128, 1000000000000])
+    def test_more_plies_than_the_captures_allow(self, plies: int) -> None:
+        # Each of the 3 captures ends a run of at most 40 plies, and 7 plies
+        # followed the last: ply 127 is the latest this text is reached.
+        midgame = _reachable_text(5, 40, include_hidden=False)
+        with pytest.raises(JfenError, match="^ply-count"):
+            decode_state(midgame.replace(" r 3 40 ", f" r 7 {plies} ", 1))
+        assert decode_state(midgame.replace(" r 3 40 ", " b 7 127 ", 1)).ply_count == 127
 
     @pytest.mark.parametrize("counters", [" b 0 0 ", " r 1 1 ", " b 2 2 "],
                              ids=["black-at-ply-0", "red-at-ply-1", "black-at-ply-2"])
@@ -285,6 +294,28 @@ class TestMalformedInputs:
         # the last, the counter restarts and the loser is to move.
         with pytest.raises(JfenError, match=match):
             decode_state(self.KING_TAKEN.replace(*edit, 1))
+
+    @pytest.mark.parametrize("seed, label", [
+        (7, "win_black_king_captured"),
+        (3, "win_red_meet_marshals"),
+        (36, "win_black_meet_marshals"),
+    ])
+    def test_king_capture_out_of_play_on_other_endings(self, seed: int, label: str) -> None:
+        # The edits above, on `random_state` endings of the other three kinds.
+        state = random_state(seed, 1400)
+        text = encode_state(state, include_hidden=False)
+        assert state.status.label() == decode_state(text).status.label() == label
+        fields = text.split(" ")
+        taken = fields[4 if label.startswith("win_red") else 5]  # the winner's, King last
+        other_side = "b" if fields[1] == "r" else "r"
+        for edit, match in [
+            ((f" {taken} ", f" {taken[-1]}{taken[:-1]} "), "last capture"),
+            ((f" {fields[1]} 0 {fields[3]} ", f" {fields[1]} 2 {fields[3]} "), "must be 0"),
+            ((f" {fields[1]} 0 {fields[3]} ", f" {other_side} 0 {int(fields[3]) + 1} "),
+             "side to move"),
+        ]:
+            with pytest.raises(JfenError, match=match):
+                decode_state(text.replace(*edit, 1))
 
     def test_conservation_violations(self) -> None:
         # a second red King
@@ -365,16 +396,6 @@ class TestMalformedInputs:
         state = initial_state(0)
         text = encode_state(state)
         head, hidden = text.rsplit(" ", 1)
-        # entry for a square that is not face-down
-        with pytest.raises(JfenError, match="face-down"):
-            decode_state(head + " " + hidden.replace("a9=", "e4=", 1))
-        # duplicate entry
-        first = hidden.split(",")[0]
-        with pytest.raises(JfenError, match="past the last face-down square"):
-            decode_state(head + " " + hidden + "," + first)
-        # missing entry
-        with pytest.raises(JfenError, match="missing"):
-            decode_state(head + " " + hidden.rsplit(",", 1)[0])
         # kind multiset inconsistent with the pool
         entries = hidden.split(",")
         pawn_entry = next(e for e in entries if e.endswith("=P"))
