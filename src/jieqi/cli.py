@@ -223,7 +223,3 @@ def run_cli(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run_cli())
-
-
-if __name__ == "__main__":
-    main()

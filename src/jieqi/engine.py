@@ -34,7 +34,8 @@ one move generation: `initial_state`, the state-text decoder and
 `apply_move` all call it.  It requires a state that play can reach: play
 stops at the first King capture, so `make_state` reads a King capture from
 the capture that ended the game.  The decoder checks the Kings before it
-calls it and, after it, rejects a captured King this rule does not read.
+calls it and, after it, rejects a captured King this rule does not read,
+and a King outside its own palace in any ending but meet-the-marshals.
 """
 
 from __future__ import annotations

@@ -37,11 +37,12 @@ state carries the status and moves play gave it.  So the decoder checks
 everything it can before it calls `make_state`, in this order: each
 field's grammar, where the board lists its face-down squares once, in
 board order, rejects any off its side's starting squares, and the hidden
-section's entry i must name that list's square i; the Kings, of which at
-most one is captured; then the counters against the draw limit, the
-captures and the side to move.  Whether a King capture ended the game is
+section's entry i must name that list's square i; the Kings, each on the
+board or captured, and not both captured; then the counters against the
+draw limit, the captures and the side to move.  How the game ended is
 `make_state`'s rule, so after it the decoder rejects a captured King whose
-status is not a King win.  Piece conservation is checked after
+status is not a King win, and a King outside its palace whose status is
+not meet-the-marshals.  Piece conservation is checked after
 `make_state`, through `infoset.hidden_pools`, the one derivation of a
 side's unaccounted pool (starting material minus revealed minus captured
 pieces).
@@ -250,28 +251,19 @@ _KING_TAKEN = Capture(PieceKind.KING, False)
 
 def _check_kings(board: list[int],
                  captures: tuple[tuple[Capture, ...], tuple[Capture, ...]]) -> Side | None:
-    """Each King is on the board, inside a palace, or captured exactly
-    once, and play stops at the first King capture, so not both are
-    captured.  Returns the side whose King is captured, or None; whether
-    that capture ended the game is `make_state`'s rule to read."""
+    """Each King is on the board or captured, exactly once, and play stops
+    at the first King capture, so not both are captured.  Returns the side
+    whose King is captured, or None; whether that capture ended the game,
+    and so where a King may stand, is `make_state`'s rule to read."""
     loser = None
     for side in (Side.RED, Side.BLACK):
-        king = KING_CELL[side]
-        on_board = board.count(king)
+        on_board = board.count(KING_CELL[side])
         if on_board + captures[OPPONENT[side]].count(_KING_TAKEN) != 1:
             raise JfenError(f"board: {side.name} must have exactly one King on board or captured")
-        if on_board:
-            # A King sits in its own palace, or in the enemy palace right
-            # after a flying-general capture.
-            sq = board.index(king)
-            if not (in_palace(sq, side) or in_palace(sq, side.opponent)):
-                raise JfenError(
-                    f"board: {side.name} King on {square_name(sq)} is outside both palaces"
-                )
-        elif loser is None:
+        if not on_board:
+            if loser is not None:
+                raise JfenError("board: both Kings are captured, but play stops at the first")
             loser = side
-        else:
-            raise JfenError("board: both Kings are captured, but play stops at the first")
     return loser
 
 
@@ -364,11 +356,17 @@ def decode_state(text: str, rules: Rules = STANDARD_RULES) -> GameState:
     board = tuple(board)
     state = make_state(board, side_squares(board), hidden, side_to_move, ply_count,
                        plies_since_capture, captures, rules)
-    if loser is not None and state.status.reason not in (WinReason.KING_CAPTURED,
-                                                         WinReason.MEET_MARSHALS):
+    reason = state.status.reason
+    if loser is not None and reason not in (WinReason.KING_CAPTURED, WinReason.MEET_MARSHALS):
         raise JfenError(f"captured-by-{loser.opponent.name.lower()}: the {loser.name} King "
                         "must be the last capture, plies-since-capture must be 0 after "
                         f"it, and the side to move must be {loser.name}")
+    for side in (Side.RED, Side.BLACK):
+        if side is not loser and reason is not WinReason.MEET_MARSHALS:
+            sq = board.index(KING_CELL[side])
+            if not in_palace(sq, side):
+                raise JfenError(f"board: {side.name} King on {square_name(sq)} is outside its "
+                                "palace, which it leaves only by a flying-general capture")
     for side in (Side.RED, Side.BLACK):
         _check_material(state, side, dark, hidden_f != "-")
     return state

@@ -99,6 +99,16 @@ def build_state(
                       plies_since_capture, captures, rules)
 
 
+def with_hidden(state: GameState, hidden) -> GameState:
+    """`state` with the hidden assignment `hidden`, and the status and
+    moves `make_state` derives for it.  `GameState._replace` would keep
+    the old `moves`, so a check that the moves do not depend on `hidden`
+    would compare a tuple with itself."""
+    return make_state(state.board, state.squares, tuple(hidden), state.side_to_move,
+                      state.ply_count, state.plies_since_capture, state.captures,
+                      state.rules)
+
+
 def without(pool: KindMultiset, kind: PieceKind) -> KindMultiset:
     """`pool` less one `kind` (ValueError if it holds none)."""
     kinds = pool.expand()

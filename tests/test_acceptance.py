@@ -16,7 +16,7 @@ import time
 import pytest
 
 from bruteforce import count_information_sets_bruteforce, infoset_size_bruteforce
-from conftest import INITIAL_JFEN
+from conftest import INITIAL_JFEN, with_hidden
 from test_infoset import _late_game_states
 from jieqi import (
     CountParams,
@@ -206,7 +206,7 @@ def _shuffled_hidden(state, rng) -> object:
         rng.shuffle(kinds)
         for sq, kind in zip(squares, kinds):
             hidden[sq] = kind
-    return state._replace(hidden=tuple(hidden))
+    return with_hidden(state, hidden)
 
 
 def test_criterion_8_engine_suite(capsys, reproduction_run) -> None:

@@ -55,6 +55,12 @@ class TestExitCodes:
         assert code == 1
         assert "draw" in err
 
+    def test_workers_below_one_is_one(self, capsys, tmp_path) -> None:
+        code, _, err = run(capsys, "simulate", "--games", "1", "--workers", "0",
+                           "--out-dir", str(tmp_path))
+        assert code == 1
+        assert "workers" in err
+
     def test_unknown_command_is_one(self, capsys) -> None:
         code, _, _ = run(capsys, "no-such-command")
         assert code == 1

@@ -10,7 +10,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import build_state, mv, parse_square, random_state
+from conftest import build_state, mv, parse_square, random_state, with_hidden
 from jieqi import (
     IllegalMoveError,
     KindMultiset,
@@ -38,7 +38,7 @@ def swap_hidden(state, sq_name: str, kind: PieceKind):
         if k is kind and (state.board[s] > 0) == (state.board[sq] > 0)
     )
     hidden[donor], hidden[sq] = hidden[sq], hidden[donor]
-    return state._replace(hidden=tuple(hidden))
+    return with_hidden(state, hidden)
 
 
 def board_multiset(state, side: Side) -> KindMultiset:

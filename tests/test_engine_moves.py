@@ -23,6 +23,7 @@ from jieqi import (
     encode_state,
     initial_state,
     legal_moves,
+    square,
 )
 from jieqi.board import (
     DARK_CELL,
@@ -52,6 +53,11 @@ class TestRoleOfSquare:
         assert ROLE_OF_SQUARE[parse_square("c9")] is PieceKind.MINISTER
         assert ROLE_OF_SQUARE[parse_square("h7")] is PieceKind.CANNON
         assert ROLE_OF_SQUARE[parse_square("i6")] is PieceKind.PAWN
+
+    @pytest.mark.parametrize("file, rank", [(-1, 0), (9, 0), (0, -1), (0, 10)])
+    def test_square_off_board_rejected(self, file: int, rank: int) -> None:
+        with pytest.raises(ValueError, match="off board"):
+            square(file, rank)
 
     def test_thirty_two_initial_squares(self) -> None:
         named = [sq for sq in range(90) if ROLE_OF_SQUARE[sq] is not None]
@@ -355,6 +361,11 @@ def test_perft_depth_three_equals_naive_from_the_start() -> None:
 def test_perft_depth_four_from_the_start() -> None:
     # Depth 4 takes about 1.5 s on one core.
     assert perft_counts(initial_state(0), 4) == [46, 2106, 92073, 3713761]
+
+
+def test_perft_depth_below_one_rejected() -> None:
+    with pytest.raises(ValueError, match="max_depth"):
+        perft_counts(initial_state(0), 0)
 
 
 def _stalemated(state) -> bool:

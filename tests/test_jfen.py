@@ -317,6 +317,24 @@ class TestMalformedInputs:
             with pytest.raises(JfenError, match=match):
                 decode_state(text.replace(*edit, 1))
 
+    #: Red's King on e8, in Black's palace, in a game still going on.
+    KING_IN_ENEMY_PALACE = "3k5/4K4/9/9/9/9/9/9/9/R8 r 0 2 ggmmrrhhccppppp GGMMRHHCCPPPPP -"
+
+    @pytest.mark.parametrize("text, where", [
+        (KING_IN_ENEMY_PALACE, "RED King on e8"),
+        (KING_IN_ENEMY_PALACE.replace("3k5/4K4/9/9/9/9/", "3k5/9/9/9/9/4K4/", 1),
+         "RED King on e4"),
+        ("9/9/9/9/9/9/9/9/4k4/3K4R b 0 3 ggmmrrhhccppppp GGMMRHHCCPPPP -",
+         "BLACK King on e1"),
+    ], ids=["red-in-black-palace", "red-outside-both-palaces", "black-in-red-palace"])
+    def test_king_outside_its_palace(self, capsys, text: str, where: str) -> None:
+        # A King leaves its palace only by the flying-general capture, and
+        # that capture ends the game as meet-the-marshals.
+        with pytest.raises(JfenError, match=f"{where} is outside its palace"):
+            decode_state(text)
+        assert run_cli(["infoset-size", "--state", text]) == 2
+        assert where in capsys.readouterr().err
+
     def test_conservation_violations(self) -> None:
         # a second red King
         with pytest.raises(JfenError, match="King"):
