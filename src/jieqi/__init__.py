@@ -15,8 +15,6 @@ The package has three layers:
 
 from .board import PieceKind, Side, square, square_name
 from .combinatorics import (
-    KindMultiset,
-    START_POOL,
     binomial,
     exact_log10,
     multiset_arrangements,
@@ -63,14 +61,12 @@ __all__ = [
     "HiddenPools",
     "IllegalMoveError",
     "JfenError",
-    "KindMultiset",
     "MissingHiddenInfoError",
     "Move",
     "PieceKind",
     "Rules",
     "STANDARD_PARAMS",
     "STANDARD_RULES",
-    "START_POOL",
     "Side",
     "WinReason",
     "apply_move",

@@ -61,13 +61,13 @@ from .board import (
     RANKS,
     RED_KING_START,
     ROLE_OF_SQUARE,
+    START_COUNTS,
     PieceKind,
     Side,
     in_palace,
     make_cell,
     square_name,
 )
-from .combinatorics import START_POOL, KindMultiset
 
 
 class IllegalMoveError(ValueError):
@@ -212,16 +212,17 @@ class Observation(NamedTuple):
       * opp_dark_captured_by_viewer: the viewer saw each face-down piece it
         captured, so it knows those kinds privately.
 
-    Captured Kings are visible on the board view (by absence) and are not
-    part of the kind multisets.
+    Each of the three capture fields is a kind count vector indexed like
+    NON_KING_KINDS.  Captured Kings are visible on the board view (by
+    absence) and are not part of the counts.
     """
 
     viewer: Side
     view: tuple[int, ...]
-    own_revealed_captured_by_opp: KindMultiset
+    own_revealed_captured_by_opp: tuple[int, ...]
     own_dark_lost_count: int
-    opp_revealed_captured: KindMultiset
-    opp_dark_captured_by_viewer: KindMultiset
+    opp_revealed_captured: tuple[int, ...]
+    opp_dark_captured_by_viewer: tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +241,10 @@ def initial_state(seed: int, rules: Rules = STANDARD_RULES) -> GameState:
     board = [0] * NUM_SQUARES
     hidden: list[PieceKind | None] = [None] * NUM_SQUARES
     board[RED_KING_START], board[BLACK_KING_START] = KING_CELL
+    start_kinds = [kind for kind, count in zip(NON_KING_KINDS, START_COUNTS)
+                   for _ in range(count)]
     for side in Side:
-        kinds = START_POOL.expand()
+        kinds = start_kinds[:]
         rng.shuffle(kinds)
         for sq, kind in zip(DARK_HOME[side], kinds):
             board[sq] = DARK_CELL[side]
@@ -566,9 +569,8 @@ def observe(state: GameState, viewer: Side) -> Observation:
     opp_revealed_taken, opp_dark_taken = _capture_counts(state.captures[viewer])
     # Positional, in field order: built from keywords, it costs about twice
     # as much.
-    return Observation(viewer, state.board, KindMultiset(tuple(own_revealed_lost)),
-                       sum(own_dark_lost), KindMultiset(tuple(opp_revealed_taken)),
-                       KindMultiset(tuple(opp_dark_taken)))
+    return Observation(viewer, state.board, tuple(own_revealed_lost), sum(own_dark_lost),
+                       tuple(opp_revealed_taken), tuple(opp_dark_taken))
 
 
 # ---------------------------------------------------------------------------

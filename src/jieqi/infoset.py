@@ -33,17 +33,18 @@ from collections import Counter
 from typing import NamedTuple
 
 from .board import DARK_CELL, NON_KING_CELLS, OPPONENT, START_COUNTS
-from .combinatorics import KindMultiset, multiset_arrangements
+from .combinatorics import multiset_arrangements
 from .engine import GameState, Observation, observe
 
 
 class HiddenPools(NamedTuple):
     """The two unknown-identity pools and their on-board slot counts: an
-    immutable, hashable value, like the observation it is derived from."""
+    immutable, hashable value, like the observation it is derived from.
+    Each pool is a kind count vector indexed like NON_KING_KINDS."""
 
-    own_pool: KindMultiset
+    own_pool: tuple[int, ...]
     own_slots: int
-    opp_pool: KindMultiset
+    opp_pool: tuple[int, ...]
     opp_slots: int
 
 
@@ -63,14 +64,14 @@ def hidden_pools(obs: Observation) -> HiddenPools:
     own_counts = [
         start - cells[code] - lost
         for start, code, lost in zip(
-            START_COUNTS, NON_KING_CELLS[own], obs.own_revealed_captured_by_opp.counts
+            START_COUNTS, NON_KING_CELLS[own], obs.own_revealed_captured_by_opp
         )
     ]
     opp_counts = [
         start - cells[code] - taken - seen
         for start, code, taken, seen in zip(
-            START_COUNTS, NON_KING_CELLS[opp], obs.opp_revealed_captured.counts,
-            obs.opp_dark_captured_by_viewer.counts,
+            START_COUNTS, NON_KING_CELLS[opp], obs.opp_revealed_captured,
+            obs.opp_dark_captured_by_viewer,
         )
     ]
     own_squares = own_slots + obs.own_dark_lost_count
@@ -79,9 +80,7 @@ def hidden_pools(obs: Observation) -> HiddenPools:
         if min(counts) < 0 or sum(counts) != squares:
             raise ValueError(f"corrupt observation: {whose} pool {counts} "
                              f"for {squares} face-down squares")
-    # The counts are checked, so the pools skip KindMultiset.__new__'s check.
-    return HiddenPools(tuple.__new__(KindMultiset, (tuple(own_counts),)), own_slots,
-                       tuple.__new__(KindMultiset, (tuple(opp_counts),)), opp_slots)
+    return HiddenPools(tuple(own_counts), own_slots, tuple(opp_counts), opp_slots)
 
 
 def infoset_size(obs: Observation) -> int:

@@ -57,7 +57,9 @@ from .board import (
     DARK_CELL,
     DARK_HOME,
     FILES,
+    KIND_INDEX,
     KING_CELL,
+    NON_KING_KINDS,
     NUM_SQUARES,
     OPPONENT,
     RANKS,
@@ -67,7 +69,6 @@ from .board import (
     make_cell,
     square_name,
 )
-from .combinatorics import KindMultiset
 from .engine import (
     Capture,
     GameState,
@@ -276,12 +277,15 @@ def _check_material(state: GameState, side: Side, dark: list[int], has_hidden: b
         raise JfenError(f"board: material as {side.opponent.name} sees it: {exc}") from None
     if has_hidden:
         cell = DARK_CELL[side]
-        assigned = KindMultiset.from_kinds(state.hidden[sq] for sq in dark
-                                           if state.board[sq] == cell)
-        if assigned != pool:
+        assigned = [0] * len(NON_KING_KINDS)
+        for sq in dark:
+            if state.board[sq] == cell:
+                assigned[KIND_INDEX[state.hidden[sq]]] += 1
+        if tuple(assigned) != pool:
+            order = ",".join(kind.letter for kind in NON_KING_KINDS)
             raise JfenError(
-                f"hidden: {side.name} assignment {assigned} does not match the "
-                f"unaccounted pool {pool}"
+                f"hidden: {side.name} assignment {tuple(assigned)} does not match the "
+                f"unaccounted pool {pool} (counts of {order})"
             )
 
 

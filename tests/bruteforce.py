@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from jieqi import CountParams, KindMultiset, hidden_pools
+from jieqi import CountParams, hidden_pools
 from jieqi.engine import Observation
 
 
@@ -78,8 +78,8 @@ def infoset_size_bruteforce(obs: Observation) -> int:
         _enumerate_assignments(pools.opp_pool, pools.opp_slots)
 
 
-def _enumerate_assignments(pool: KindMultiset, slots: int) -> int:
-    counts = list(pool.counts)
+def _enumerate_assignments(pool: tuple[int, ...], slots: int) -> int:
+    counts = list(pool)
 
     def walk(slot: int) -> int:
         if slot == slots:

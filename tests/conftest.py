@@ -6,19 +6,17 @@ import random
 
 from jieqi import (
     GameState,
-    KindMultiset,
     Move,
     PieceKind,
     Rules,
     STANDARD_RULES,
-    START_POOL,
     Side,
     apply_move,
     initial_state,
     legal_moves,
     square_name,
 )
-from jieqi.board import DARK_CELL, NUM_SQUARES, make_cell
+from jieqi.board import DARK_CELL, NON_KING_KINDS, NUM_SQUARES, START_COUNTS, make_cell
 from jieqi.engine import Capture, make_state, side_squares
 
 #: The shuffled-start position with the hidden section omitted.
@@ -76,14 +74,13 @@ def build_state(
             on_board[side].append(kind)
 
     def missing(side: Side) -> tuple:
-        pool = START_POOL
-        entries = []
         assert PieceKind.KING in on_board[side], f"place the {side.name} King"
-        for kind in on_board[side]:
-            if kind is not PieceKind.KING:
-                pool = without(pool, kind)
-        entries.extend(Capture(kind, False) for kind in pool.expand())
-        return tuple(entries)
+        placed = kind_counts(on_board[side])
+        assert all(on <= start for on, start in zip(placed, START_COUNTS)), \
+            f"more {side.name} pieces of a kind than the side has"
+        return tuple(Capture(kind, False)
+                     for kind, start, on in zip(NON_KING_KINDS, START_COUNTS, placed)
+                     for _ in range(start - on))
 
     captures = (missing(Side.BLACK), missing(Side.RED))
     if ply_count is None:
@@ -109,11 +106,18 @@ def with_hidden(state: GameState, hidden) -> GameState:
                       state.rules)
 
 
-def without(pool: KindMultiset, kind: PieceKind) -> KindMultiset:
-    """`pool` less one `kind` (ValueError if it holds none)."""
-    kinds = pool.expand()
+def kind_counts(kinds) -> tuple[int, ...]:
+    """Count vector of the non-king `kinds`, indexed like NON_KING_KINDS: a
+    plain list count, independent of the package's own pool arithmetic."""
+    kinds = list(kinds)
+    return tuple(kinds.count(kind) for kind in NON_KING_KINDS)
+
+
+def without(pool: tuple[int, ...], kind: PieceKind) -> tuple[int, ...]:
+    """Count vector `pool` less one `kind` (ValueError if it holds none)."""
+    kinds = [k for k, count in zip(NON_KING_KINDS, pool) for _ in range(count)]
     kinds.remove(kind)
-    return KindMultiset.from_kinds(kinds)
+    return kind_counts(kinds)
 
 
 def random_state(seed: int, plies: int, rules: Rules = STANDARD_RULES) -> GameState:

@@ -7,14 +7,9 @@ from itertools import permutations
 
 import pytest
 
-from jieqi import (
-    KindMultiset,
-    START_POOL,
-    binomial,
-    exact_log10,
-    multiset_arrangements,
-)
-from jieqi.board import KIND_INDEX, NON_KING_KINDS, PieceKind
+from conftest import kind_counts
+from jieqi import binomial, exact_log10, multiset_arrangements
+from jieqi.board import KIND_INDEX, NON_KING_KINDS, START_COUNTS, PieceKind
 
 
 class TestBinomial:
@@ -50,43 +45,28 @@ class TestExactLog10:
             exact_log10(0)
 
 
-class TestKindMultiset:
-    def test_start_pool(self) -> None:
-        assert START_POOL.total() == 15
-        assert START_POOL.counts[KIND_INDEX[PieceKind.PAWN]] == 5
-        assert START_POOL.counts[KIND_INDEX[PieceKind.ROOK]] == 2
-
-    @pytest.mark.parametrize("counts", [
-        (0, 0, 0, -1, 0, 0),
-        (2, 2, 2, 2, 2),
-        (2, 2, 2, 2, 2, 5, 0),
-    ])
-    def test_constructor_rejects_bad_counts(self, counts) -> None:
-        with pytest.raises(ValueError):
-            KindMultiset(counts)
-        with pytest.raises(ValueError):
-            KindMultiset(counts=counts)
-
-    def test_expand_round_trip(self) -> None:
-        assert KindMultiset.from_kinds(START_POOL.expand()) == START_POOL
+def test_start_counts() -> None:
+    assert len(START_COUNTS) == len(NON_KING_KINDS)
+    assert sum(START_COUNTS) == 15
+    assert START_COUNTS[KIND_INDEX[PieceKind.PAWN]] == 5
+    assert START_COUNTS[KIND_INDEX[PieceKind.ROOK]] == 2
 
 
-def _pool(*counts: int) -> KindMultiset:
-    padded = counts + (0,) * (len(NON_KING_KINDS) - len(counts))
-    return KindMultiset(padded)
+def _pool(*counts: int) -> tuple[int, ...]:
+    return counts + (0,) * (len(NON_KING_KINDS) - len(counts))
 
 
 class TestMultisetArrangements:
     def test_full_pool_is_multinomial(self) -> None:
         multinomial = math.factorial(15) // (math.factorial(2) ** 5 * math.factorial(5))
-        assert multiset_arrangements(START_POOL, 15) == multinomial == 340540200
+        assert multiset_arrangements(START_COUNTS, 15) == multinomial == 340540200
 
     def test_k_zero(self) -> None:
-        assert multiset_arrangements(START_POOL, 0) == 1
-        assert multiset_arrangements(KindMultiset((0,) * 6), 0) == 1
+        assert multiset_arrangements(START_COUNTS, 0) == 1
+        assert multiset_arrangements((0,) * 6, 0) == 1
 
     def test_rook_two_pawns(self) -> None:
-        pool = KindMultiset.from_kinds([PieceKind.ROOK, PieceKind.PAWN, PieceKind.PAWN])
+        pool = kind_counts([PieceKind.ROOK, PieceKind.PAWN, PieceKind.PAWN])
         # {RP, PR, PP}
         assert multiset_arrangements(pool, 2) == 3
 
@@ -99,6 +79,11 @@ class TestMultisetArrangements:
     def test_k_above_pool_rejected(self) -> None:
         with pytest.raises(ValueError):
             multiset_arrangements(_pool(1, 1), 3)
+
+    def test_negative_count_rejected(self) -> None:
+        # A negative count would otherwise read as an empty kind.
+        with pytest.raises(ValueError, match="negative"):
+            multiset_arrangements((0, 0, 0, -1, 0, 2), 1)
 
     def test_exhaustive_against_slot_enumeration(self) -> None:
         """Every pool over <= 4 kinds with <= 8 members, every slot count:
@@ -117,7 +102,8 @@ class TestMultisetArrangements:
                             continue
                         seen.add(counts)
                         pool = _pool(*counts)
-                        members = pool.expand()
+                        members = [kind for kind, count in zip(NON_KING_KINDS, pool)
+                                   for _ in range(count)]
                         for k in range(sum(counts) + 1):
                             explicit = len(set(permutations(members, k)))
                             assert multiset_arrangements(pool, k) == explicit, (

@@ -10,14 +10,12 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import build_state, mv, parse_square, random_state, with_hidden
+from conftest import build_state, kind_counts, mv, parse_square, random_state, with_hidden
 from jieqi import (
     IllegalMoveError,
-    KindMultiset,
     PieceKind,
     Rules,
     Side,
-    START_POOL,
     WinReason,
     apply_move,
     hidden_pools,
@@ -25,7 +23,15 @@ from jieqi import (
     legal_moves,
     observe,
 )
-from jieqi.board import DARK_CODE, DARK_HOME, KING_CELL, in_palace, make_cell, square_name
+from jieqi.board import (
+    DARK_CODE,
+    DARK_HOME,
+    KING_CELL,
+    START_COUNTS,
+    in_palace,
+    make_cell,
+    square_name,
+)
 from jieqi.engine import TerminalStatus, perft_counts
 
 
@@ -41,7 +47,7 @@ def swap_hidden(state, sq_name: str, kind: PieceKind):
     return with_hidden(state, hidden)
 
 
-def board_multiset(state, side: Side) -> KindMultiset:
+def board_kinds(state, side: Side) -> list[PieceKind]:
     """All non-king kinds of `side` on the board (revealed + hidden)."""
     kinds = []
     red = side is Side.RED
@@ -51,7 +57,7 @@ def board_multiset(state, side: Side) -> KindMultiset:
         kind = state.hidden[sq] if abs(cell) == DARK_CODE else PieceKind(abs(cell) - 1)
         if kind is not PieceKind.KING:
             kinds.append(kind)
-    return KindMultiset.from_kinds(kinds)
+    return kinds
 
 
 class TestApplyMove:
@@ -64,10 +70,10 @@ class TestApplyMove:
         assert nxt.captures == ((outcome.captured,), ())
         assert outcome.captured.was_dark
         red_view = observe(nxt, Side.RED)
-        assert red_view.opp_dark_captured_by_viewer.total() == 1
+        assert sum(red_view.opp_dark_captured_by_viewer) == 1
         black_view = observe(nxt, Side.BLACK)
         assert black_view.own_dark_lost_count == 1
-        assert black_view.own_revealed_captured_by_opp.total() == 0
+        assert sum(black_view.own_revealed_captured_by_opp) == 0
 
     def test_revealed_piece_stays_revealed(self) -> None:
         state = build_state(red={"e0": "K", "e4": "R"}, black={"e8": "K", "a6": "p"})
@@ -279,9 +285,9 @@ class TestObservation:
         kings = sum(1 for c in obs.view if abs(c) == 1)
         assert darks == 30 and kings == 2
         assert obs.own_dark_lost_count == 0
-        assert obs.own_revealed_captured_by_opp.total() == 0
-        assert obs.opp_revealed_captured.total() == 0
-        assert obs.opp_dark_captured_by_viewer.total() == 0
+        assert obs.own_revealed_captured_by_opp == (0,) * 6
+        assert obs.opp_revealed_captured == (0,) * 6
+        assert obs.opp_dark_captured_by_viewer == (0,) * 6
         # Only what sizing reads: the size depends on nothing else.
         assert obs._fields == ("viewer", "view", "own_revealed_captured_by_opp",
                                "own_dark_lost_count", "opp_revealed_captured",
@@ -311,12 +317,13 @@ class TestObservation:
         nxt, _ = apply_move(state, mv("a4a6"))
         red_view = observe(nxt, Side.RED)
         black_view = observe(nxt, Side.BLACK)
-        assert red_view.opp_revealed_captured == KindMultiset.from_kinds(
-            red_before.opp_revealed_captured.expand() + [PieceKind.ROOK])
+        one_rook = kind_counts([PieceKind.ROOK])
+        assert tuple(a - b for a, b in zip(red_view.opp_revealed_captured,
+                                           red_before.opp_revealed_captured)) == one_rook
         assert red_view.opp_dark_captured_by_viewer == \
             red_before.opp_dark_captured_by_viewer
-        assert black_view.own_revealed_captured_by_opp == KindMultiset.from_kinds(
-            black_before.own_revealed_captured_by_opp.expand() + [PieceKind.ROOK])
+        assert tuple(a - b for a, b in zip(black_view.own_revealed_captured_by_opp,
+                                           black_before.own_revealed_captured_by_opp)) == one_rook
         assert black_view.own_dark_lost_count == black_before.own_dark_lost_count
 
 
@@ -366,8 +373,8 @@ class TestDeterminismAndConservation:
                         k for k, _ in state.captures[side.opponent]
                         if k is not PieceKind.KING
                     ]
-                    total = board_multiset(state, side).expand() + captured
-                    assert KindMultiset.from_kinds(total) == START_POOL, f"seed {seed}"
+                    total = board_kinds(state, side) + captured
+                    assert kind_counts(total) == START_COUNTS, f"seed {seed}"
                 for sq, cell in enumerate(state.board):
                     if abs(cell) == DARK_CODE:
                         side = Side.RED if cell > 0 else Side.BLACK
@@ -419,13 +426,11 @@ def _records() -> dict[str, object]:
     state = random_state(7, 30)
     assert not state.status.over
     obs = observe(state, state.side_to_move)
-    pools = hidden_pools(obs)
     return {
         "GameState": state,
         "MoveOutcome": apply_move(state, state.moves[0])[1],
         "Observation": obs,
-        "HiddenPools": pools,
-        "KindMultiset": pools.own_pool,
+        "HiddenPools": hidden_pools(obs),
     }
 
 
@@ -433,7 +438,7 @@ class TestRecordValues:
     """The per-ply records are immutable, hashable values."""
 
     FIELD = {"GameState": "board", "MoveOutcome": "revealed", "Observation": "viewer",
-             "HiddenPools": "own_pool", "KindMultiset": "counts"}
+             "HiddenPools": "own_pool"}
 
     @pytest.mark.parametrize("name", list(FIELD))
     def test_field_assignment_raises(self, name: str) -> None:

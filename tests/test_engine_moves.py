@@ -101,15 +101,13 @@ class TestInitialPosition:
         assert legal_moves(state) is state.moves
 
     def test_each_side_shuffles_its_own_full_pool(self) -> None:
-        from jieqi import KindMultiset, START_POOL
-        from jieqi.board import DARK_HOME
+        from conftest import kind_counts
+        from jieqi.board import DARK_HOME, START_COUNTS
         for seed in (0, 17):
             state = initial_state(seed)
             for side in (Side.RED, Side.BLACK):
-                kinds = KindMultiset.from_kinds(
-                    state.hidden[sq] for sq in DARK_HOME[side]
-                )
-                assert kinds == START_POOL
+                kinds = kind_counts(state.hidden[sq] for sq in DARK_HOME[side])
+                assert kinds == START_COUNTS
 
 
 class TestKing:

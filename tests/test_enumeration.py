@@ -147,9 +147,9 @@ class TestCountModel:
                 r_on, r_dark, b_on, b_dark = indices
                 r_off_dark = obs.own_dark_lost_count
                 assert 0 <= r_off_dark <= n - r_on
-                assert n - r_on == r_off_dark + obs.own_revealed_captured_by_opp.total()
-                assert n - b_on == (obs.opp_revealed_captured.total()
-                                    + obs.opp_dark_captured_by_viewer.total())
+                assert n - r_on == r_off_dark + sum(obs.own_revealed_captured_by_opp)
+                assert n - b_on == (sum(obs.opp_revealed_captured)
+                                    + sum(obs.opp_dark_captured_by_viewer))
                 # P(s - t, a - t) > 0: the face-up pieces fit on the squares
                 # the t face-down ones leave
                 assert r_on + b_on <= s

@@ -10,13 +10,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from bruteforce import infoset_size_bruteforce
-from conftest import build_state, without
+from conftest import build_state, kind_counts, without
 from jieqi import (
     HiddenPools,
-    KindMultiset,
     PieceKind,
     Rules,
-    START_POOL,
     Side,
     apply_move,
     hidden_pools,
@@ -27,7 +25,7 @@ from jieqi import (
     multiset_arrangements,
     observe,
 )
-from jieqi.board import DARK_CELL, DARK_CODE, NON_KING_KINDS, NUM_SQUARES
+from jieqi.board import DARK_CELL, DARK_CODE, NON_KING_KINDS, NUM_SQUARES, START_COUNTS
 from jieqi.engine import make_state, side_squares
 
 
@@ -66,7 +64,7 @@ def _late_game_states(max_dark: int, want: int, seed0: int = 0):
 class TestHiddenPools:
     def test_initial_pools(self) -> None:
         pools = hidden_pools(observe(initial_state(0), Side.RED))
-        assert pools == HiddenPools(START_POOL, 15, START_POOL, 15)
+        assert pools == HiddenPools(START_COUNTS, 15, START_COUNTS, 15)
 
     def test_own_reveals_leave_pool(self) -> None:
         state = build_state(
@@ -78,7 +76,7 @@ class TestHiddenPools:
         # (revealed face), so the viewer's pool is exactly the dark kinds
         pools = hidden_pools(observe(state, Side.RED))
         assert pools.own_slots == 2
-        assert pools.own_pool == KindMultiset.from_kinds([PieceKind.PAWN] * 2)
+        assert pools.own_pool == kind_counts([PieceKind.PAWN] * 2)
         assert pools.opp_slots == 2
 
     def test_dark_loss_stays_in_own_pool(self) -> None:
@@ -90,25 +88,25 @@ class TestHiddenPools:
         black_pools = hidden_pools(observe(nxt, Side.BLACK))
         # Black lost a dark piece: 14 on board, 15 candidate kinds
         assert black_pools.own_slots == 14
-        assert black_pools.own_pool.total() == 15
+        assert sum(black_pools.own_pool) == 15
         # Red saw the captured kind: Black's unknowns, from Red's side, are
         # the full pool minus exactly that kind
         red_pools = hidden_pools(observe(nxt, Side.RED))
         assert red_pools.opp_slots == 14
-        assert red_pools.opp_pool == without(START_POOL, outcome.captured.kind)
+        assert red_pools.opp_pool == without(START_COUNTS, outcome.captured.kind)
         # Red revealed its own b2 piece by moving it
-        assert red_pools.own_pool.total() == 14
+        assert sum(red_pools.own_pool) == 14
 
     @pytest.mark.parametrize("edit", [
         # more Guards lost face up than the side has: a negative own count
-        dict(own_revealed_captured_by_opp=KindMultiset((3, 0, 0, 0, 0, 0))),
+        dict(own_revealed_captured_by_opp=(3, 0, 0, 0, 0, 0)),
         # a dark loss with every own piece still on the board: a total 15
         # against 16 face-down squares, and no count negative
         dict(own_dark_lost_count=1),
-        dict(opp_revealed_captured=KindMultiset((3, 0, 0, 0, 0, 0))),
+        dict(opp_revealed_captured=(3, 0, 0, 0, 0, 0)),
         # a Guard taken face up while all 15 opponent pieces stay face
         # down: a total 14 against 15 squares, and no count negative
-        dict(opp_revealed_captured=KindMultiset((1, 0, 0, 0, 0, 0))),
+        dict(opp_revealed_captured=(1, 0, 0, 0, 0, 0)),
     ], ids=["own-negative", "own-total", "opponent-negative", "opponent-total"])
     def test_corrupt_observation_rejected(self, edit) -> None:
         obs = observe(initial_state(0), Side.RED)
@@ -240,13 +238,12 @@ class TestProperties:
         # grows the arrangement count
         rng = random.Random(3)
         for _ in range(200):
-            counts = tuple(rng.randrange(0, 4) for _ in range(6))
-            pool = KindMultiset(counts)
-            if pool.total() == 0:
+            pool = tuple(rng.randrange(0, 4) for _ in range(6))
+            if sum(pool) == 0:
                 continue
-            k = rng.randrange(1, pool.total() + 1)
+            k = rng.randrange(1, sum(pool) + 1)
             base = multiset_arrangements(pool, k)
-            for kind in (kind for kind, count in zip(NON_KING_KINDS, pool.counts) if count):
+            for kind in (kind for kind, count in zip(NON_KING_KINDS, pool) if count):
                 smaller = multiset_arrangements(without(pool, kind), k - 1)
                 assert smaller <= base
 
@@ -280,10 +277,10 @@ class TestProperties:
                         k for k, dark in state.captures[viewer.opponent] if dark
                     ]
                     pools = hidden_pools(observe(state, viewer))
-                    assert pools.own_pool == KindMultiset.from_kinds(
+                    assert pools.own_pool == kind_counts(
                         [state.hidden[sq] for sq in own_sq] + own_lost
                     )
-                    assert pools.opp_pool == KindMultiset.from_kinds(
+                    assert pools.opp_pool == kind_counts(
                         state.hidden[sq] for sq in opp_sq
                     )
                     assert pools.own_slots == len(own_sq)

@@ -414,11 +414,13 @@ class TestMalformedInputs:
         state = initial_state(0)
         text = encode_state(state)
         head, hidden = text.rsplit(" ", 1)
-        # kind multiset inconsistent with the pool
+        # a Red Pawn's entry names a Rook: Red's kind counts disagree with its pool
         entries = hidden.split(",")
         pawn_entry = next(e for e in entries if e.endswith("=P"))
         swapped = hidden.replace(pawn_entry, pawn_entry[:-1] + "R", 1)
-        with pytest.raises(JfenError, match="match"):
+        with pytest.raises(JfenError, match=r"^hidden: RED assignment \(2, 2, 3, 2, 2, 4\) does not "
+                           r"match the unaccounted pool \(2, 2, 2, 2, 2, 5\) \(counts of "
+                           r"G,M,R,H,C,P\)$"):
             decode_state(head + " " + swapped)
 
     @pytest.mark.parametrize("edit, match", [
